@@ -122,42 +122,59 @@ def _load_gazetteer_arg(args) -> Gazetteer:
     return default_gazetteer()
 
 
-def cmd_process(args) -> int:
+# Stage helpers shared by the stage subcommands and pipeline. They call the
+# stage functions through the names imported above, so a wrapper installed on
+# those names (as bench/tracer.py does) sees every stage call.
+
+
+def _process_stage(args, in_dir, out_dir):
+    """Lazily process each crawl file under in_dir: one (records, skipped) per file."""
     gazetteer = _load_gazetteer_arg(args)
-    in_dir = args.in_dir or args.data_dir
-    out_dir = args.out or args.data_dir
-    files = find_crawl_files(in_dir)
-    total_records = 0
-    total_skipped = 0
-    for path in files:
-        records, skipped = process_file(path, gazetteer, out_root=out_dir)
+    return (process_file(path, gazetteer, out_root=out_dir) for path in find_crawl_files(in_dir))
+
+
+def _analyze_stage(args, records, out_dir) -> list[tuple[str, list, str]]:
+    """Run the builtin and -regex analyses; returns (name, rows, csv path) per table."""
+    specs = list(BUILTIN_SPECS)
+    if args.regex:
+        specs.extend(load_regex_specs(args.regex))
+    results = analyze(records, specs)
+    return [(name, rows, write_csv(name, rows, out_dir)) for name, rows in results.items()]
+
+
+def _prune_stage(rows, cfg: PruneConfig, out_path) -> list:
+    """Prune one analysis table and write the kept rows to out_path."""
+    pruned = prune(rows, cfg)
+    write_rows(out_path, pruned)
+    return pruned
+
+
+def cmd_process(args) -> int:
+    files = total_records = total_skipped = 0
+    stage = _process_stage(args, args.in_dir or args.data_dir, args.out or args.data_dir)
+    for records, skipped in stage:
+        files += 1
         total_records += len(records)
         total_skipped += skipped
-    print(f"files={len(files)}")
+    print(f"files={files}")
     print(f"records={total_records}")
     print(f"skipped={total_skipped}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    specs = list(BUILTIN_SPECS)
-    if args.regex:
-        specs.extend(load_regex_specs(args.regex))
     records = []
     for path in args.in_files:
         records.extend(read_processed_file(path))
     out_dir = args.out or os.path.join(args.data_dir, "analysis")
-    results = analyze(records, specs)
-    for name, rows in results.items():
-        path = write_csv(name, rows, out_dir)
+    for name, rows, path in _analyze_stage(args, records, out_dir):
         print(f"{name}: {len(rows)} keys -> {path}")
     return 0
 
 
 def cmd_prune(args) -> int:
     rows = read_rows_csv(args.in_file)
-    pruned = prune(rows, PruneConfig(limit=args.limit, order=args.order))
-    write_rows(args.out_file, pruned)
+    pruned = _prune_stage(rows, PruneConfig(limit=args.limit, order=args.order), args.out_file)
     print(f"{len(rows)} -> {len(pruned)} rows -> {args.out_file}")
     return 0
 
@@ -171,16 +188,12 @@ def cmd_gateway(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     vault_path = args.vault or os.path.join(args.data_dir, "vault.jsonl")
     ledger_path = args.ledger or os.path.join(args.data_dir, "ledger.jsonl")
-    dispatched = 0
     with Vault(vault_path, rng=rng, clock=clock) as vault:
         with ComplianceLedger(ledger_path, clock=clock, fsync=not args.no_fsync) as ledger:
             gw = PrivacyGateway(
                 vault, ledger, rules=rules, retention_days=args.retention_days
             )
-            for record in records:
-                for bundle in gw.pseudonymize(record):
-                    gw.dispatch(bundle, registry)
-                    dispatched += 1
+            dispatched = gw.dispatch_feed(records, registry)
     print(f"records={len(records)}")
     print(f"bundles_dispatched={dispatched}")
     print(f"vault={vault_path}")
@@ -217,25 +230,21 @@ def cmd_pipeline(args) -> int:
         stats = run_crawl(cfg, clock)
     print(f"crawl: {stats.requests} requests, {stats.tweets_kept} records kept")
 
-    gazetteer = _load_gazetteer_arg(args)
     records = []
-    crawl_files = find_crawl_files(args.data_dir)
-    for path in crawl_files:
-        file_records, _skipped = process_file(path, gazetteer, out_root=args.data_dir)
+    files = 0
+    for file_records, _skipped in _process_stage(args, args.data_dir, args.data_dir):
+        files += 1
         records.extend(file_records)
-    print(f"process: {len(crawl_files)} files, {len(records)} records")
+    print(f"process: {files} files, {len(records)} records")
 
-    specs = list(BUILTIN_SPECS)
-    if args.regex:
-        specs.extend(load_regex_specs(args.regex))
     analysis_dir = os.path.join(args.data_dir, "analysis")
     pruned_dir = os.path.join(args.data_dir, "pruned")
-    results = analyze(records, specs)
+    tables = _analyze_stage(args, records, analysis_dir)
+    os.makedirs(pruned_dir, exist_ok=True)
     cfg_prune = PruneConfig(limit=args.limit)
-    for name, rows in results.items():
-        write_csv(name, rows, analysis_dir)
-        write_csv(name, prune(rows, cfg_prune), pruned_dir)
-    print(f"analyze: {len(results)} analyses -> {analysis_dir}")
+    for name, rows, _path in tables:
+        _prune_stage(rows, cfg_prune, os.path.join(pruned_dir, f"{name}.csv"))
+    print(f"analyze: {len(tables)} analyses -> {analysis_dir}")
     print(f"prune: limit {args.limit} -> {pruned_dir}")
     return 0
 

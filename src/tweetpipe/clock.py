@@ -34,7 +34,3 @@ class VirtualClock:
     def sleep_ms(self, ms: int) -> None:
         if ms > 0:
             self._now_ms += int(ms)
-
-    def advance_ms(self, ms: int) -> int:
-        self.sleep_ms(ms)
-        return self._now_ms

@@ -105,11 +105,6 @@ def filter_reason(t: RawTweet) -> str | None:
     return None
 
 
-def filter_tweet(t: RawTweet) -> bool:
-    """True iff the tweet has a non-blank location and a detected language."""
-    return filter_reason(t) is None
-
-
 def prefix_text(t: RawTweet) -> str:
     """Mark the text as original ("OT ") or retweet ("RT ")."""
     return ("RT " if t.is_retweet else "OT ") + t.text
@@ -376,7 +371,8 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
                 for status in statuses:
                     tweet = parse_status(status)
                     if tweet is None:
-                        log.warning("malformed status skipped: %r", status)
+                        # No field values: the status carries the author's identity.
+                        log.warning("malformed status skipped: missing or invalid field")
                         continue
                     stats.tweets_seen += 1
                     reason = filter_reason(tweet)

@@ -31,7 +31,9 @@ VULNERABLE = "vulnerable"
 INVULNERABLE = "invulnerable"
 
 VULNERABLE_FIELDS = frozenset({"name", "username", "id", "location", "city"})
-INVULNERABLE_FIELDS = frozenset({"lang", "country", "creation_date", "text"})
+# Exactly these fields leave the gateway, as payload keys in this order; a
+# tuple, because a frozenset's order changes between processes.
+INVULNERABLE_FIELDS = ("text", "lang", "country", "creation_date")
 
 THREAT_INTELLIGENCE = "threat_intelligence"
 TARGETED_ADVERTISING = "targeted_advertising"
@@ -96,13 +98,6 @@ def classify_sensitivity(field_name: str, threat_policy: dict | None = None) -> 
     if field_name in INVULNERABLE_FIELDS:
         return SensitivityLabel(field_name, INVULNERABLE)
     raise UnknownFieldError(field_name)
-
-
-@dataclass(frozen=True)
-class PseudonymBinding:
-    user_key: str
-    code: str
-    created_at: int  # epoch ms
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,6 @@ class Vault:
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
-        self._created_at: dict[str, int] = {}
         self._lock = threading.Lock()
         self._load()
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
@@ -191,13 +185,11 @@ class Vault:
                 if op.get("op") == "bind":
                     self._by_key[op["user_key"]] = op["code"]
                     self._by_code[op["code"]] = op["user_key"]
-                    self._created_at[op["user_key"]] = int(op.get("created_at", 0))
                 elif op.get("op") == "erase":
                     user_key = self._by_code.pop(op["code"], None)
                     if user_key is None:
                         raise VaultError(f"{self.path}:{line_num}: erase of unknown code")
                     del self._by_key[user_key]
-                    self._created_at.pop(user_key, None)
                 else:
                     raise VaultError(f"{self.path}:{line_num}: unknown vault op {op.get('op')!r}")
 
@@ -255,7 +247,6 @@ class Vault:
             )
             self._by_key[user_key] = code
             self._by_code[code] = user_key
-            self._created_at[user_key] = created_at
             return code
 
     def erase(self, user_key: str) -> str:
@@ -267,16 +258,7 @@ class Vault:
             self._append({"op": "erase", "code": code, "at": self._clock.now_ms()})
             del self._by_key[user_key]
             del self._by_code[code]
-            self._created_at.pop(user_key, None)
             return code
-
-    def binding_for(self, user_key: str) -> PseudonymBinding:
-        code = self._by_key.get(user_key)
-        if code is None:
-            raise UnknownUserError(user_key)
-        return PseudonymBinding(
-            user_key=user_key, code=code, created_at=self._created_at.get(user_key, 0)
-        )
 
     def user_for(self, code: str) -> str:
         user_key = self._by_code.get(code)
@@ -506,26 +488,41 @@ class PrivacyGateway:
         self._add_scrub_terms(identifiers)
         return code
 
+    def _register_author(self, t: ProcessedTweet) -> str:
+        return self.register_user(user_key_for(t.username, t.id),
+                                  identifiers=(t.username, t.name, t.id))
+
     def pseudonymize(self, t: ProcessedTweet) -> list[CategoryBundle]:
         """One bundle per matched category, identity replaced by a code.
 
-        The payload carries only invulnerable fields (text, lang,
-        country, creation_date); the text is scrubbed of all registered
-        identifiers. Categories are decided on the original text, before
-        scrubbing, so classification never depends on who is registered.
+        The payload carries only the INVULNERABLE_FIELDS, in that order;
+        the text is scrubbed of all registered identifiers. Categories are
+        decided on the original text, before scrubbing, so classification
+        never depends on who is registered.
         """
-        user_key = user_key_for(t.username, t.id)
-        code = self.register_user(user_key, identifiers=(t.username, t.name, t.id))
-        payload = {
-            "text": self._scrub(t.text),
-            "lang": t.lang,
-            "country": t.country,
-            "creation_date": t.creation_date,
-        }
+        code = self._register_author(t)
+        payload = {name: getattr(t, name) for name in INVULNERABLE_FIELDS}
+        payload["text"] = self._scrub(t.text)
         return [
             CategoryBundle(code=code, category=category, payload=payload)
             for category in self.rules.categories_for(t.text)
         ]
+
+    def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
+        """Pseudonymize and dispatch every record; returns the bundle count.
+
+        Every author is registered before the first bundle leaves, so a
+        mention of a user whose own tweet comes later in the feed is
+        scrubbed too.
+        """
+        for t in records:
+            self._register_author(t)
+        dispatched = 0
+        for t in records:
+            for bundle in self.pseudonymize(t):
+                self.dispatch(bundle, registry)
+                dispatched += 1
+        return dispatched
 
     def dispatch(self, bundle: CategoryBundle, registry: ServiceRegistry) -> DeliveryReceipt:
         """Deliver to the category's sink and log exactly one disclosure.

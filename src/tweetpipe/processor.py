@@ -105,15 +105,12 @@ class Gazetteer:
         return term.country, term.city
 
 
-def detect_location(free_text: str, gazetteer) -> tuple[str | None, str | None]:
+def detect_location(free_text: str, gazetteer: Gazetteer) -> tuple[str | None, str | None]:
     """Best (country, city) guess for a free-text location field.
 
     A city hit fills in its country; a country-only hit leaves city None;
-    no hit at all yields (None, None). Accepts a Gazetteer or a plain
-    sequence of entries.
+    no hit at all yields (None, None).
     """
-    if not isinstance(gazetteer, Gazetteer):
-        gazetteer = Gazetteer(list(gazetteer))
     if not free_text.strip():
         return None, None
     return gazetteer.lookup(free_text)
@@ -167,36 +164,9 @@ class ProcessedTweet:
             raise ValueError("a city match implies its country")
 
     @classmethod
-    def from_record(cls, record: TweetRecord, gazetteer) -> "ProcessedTweet":
+    def from_record(cls, record: TweetRecord, gazetteer: Gazetteer) -> "ProcessedTweet":
         country, city = detect_location(record.location, gazetteer)
         return cls(*record.fields(), country=country, city=city)
-
-    def to_dict(self) -> dict:
-        return {
-            "creation_date": self.creation_date,
-            "id": self.id,
-            "lang": self.lang,
-            "location": self.location,
-            "name": self.name,
-            "username": self.username,
-            "text": self.text,
-            "country": self.country,
-            "city": self.city,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProcessedTweet":
-        return cls(
-            creation_date=d["creation_date"],
-            id=d["id"],
-            lang=d["lang"],
-            location=d["location"],
-            name=d["name"],
-            username=d["username"],
-            text=d["text"],
-            country=d.get("country"),
-            city=d.get("city"),
-        )
 
 
 def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[ProcessedTweet], int]:
@@ -206,8 +176,6 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     file's date and hour, rooted at out_root. Undecodable lines are
     skipped and counted, not fatal.
     """
-    if not isinstance(gazetteer, Gazetteer):
-        gazetteer = Gazetteer(list(gazetteer))
     crawl_loc = parse_crawl_file_path(in_path)
     with open(in_path, encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -229,7 +197,9 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     out_path = processed_file_path(out_loc, root=out_root)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([r.to_dict() for r in records], fh, ensure_ascii=False, indent=2)
+        # vars() is the field dict in field order; dataclasses.asdict would
+        # deep-copy every record at over a hundred times the cost.
+        json.dump([vars(r) for r in records], fh, ensure_ascii=False, indent=2)
         fh.write("\n")
     log.info("processed %s: %d records, %d skipped -> %s",
              in_path, len(records), skipped, out_path)
@@ -239,7 +209,7 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
 def read_processed_file(path) -> list[ProcessedTweet]:
     """Load a processed JSON array back into ProcessedTweet objects."""
     with open(path, encoding="utf-8") as fh:
-        return [ProcessedTweet.from_dict(d) for d in json.load(fh)]
+        return [ProcessedTweet(**d) for d in json.load(fh)]
 
 
 def find_crawl_files(root) -> list[str]:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from tweetpipe.cli import main, parse_bool, parse_duration_ms
+from tweetpipe.gateway import CATEGORIES
 from tweetpipe.processor import ProcessedTweet
 
 
@@ -122,6 +124,28 @@ def test_pipeline_honors_regex_specs(tmp_path, capsys):
     assert (data / "analysis" / "greets.csv").exists()
 
 
+def test_pipeline_matches_the_stage_commands(tmp_path, capsys):
+    piped = tmp_path / "piped"
+    staged = tmp_path / "staged"
+    assert main(["--data-dir", str(piped), "--seed", "7", "pipeline", "--duration", "2m"]) == 0
+    shutil.copytree(piped / "01-01-1970", staged / "01-01-1970")
+    assert main(["--data-dir", str(staged), "process"]) == 0
+    processed = sorted(str(p) for p in staged.glob("*.json"))
+    assert processed
+    assert main(["--data-dir", str(staged), "analyze", "--in", *processed]) == 0
+    (staged / "pruned").mkdir()
+    for table in sorted((staged / "analysis").glob("*.csv")):
+        assert main(["prune", "--in", str(table), "--out", str(staged / "pruned" / table.name)]) == 0
+    capsys.readouterr()
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    piped_files = files(piped)
+    assert any(name.startswith("pruned/") for name in piped_files)
+    assert files(staged) == piped_files
+
+
 # ------------------------------------------------------- crawl via binary
 
 
@@ -166,10 +190,10 @@ def write_processed(path, langs=("en", "en", "hi")):
             text=f"OT tweet {i} #tag",
             country="India",
             city="Delhi",
-        ).to_dict()
+        )
         for i, lang in enumerate(langs)
     ]
-    path.write_text(json.dumps(records), encoding="utf-8")
+    path.write_text(json.dumps([vars(r) for r in records]), encoding="utf-8")
 
 
 def test_analyze_cli(tmp_path, capsys):
@@ -224,6 +248,38 @@ def test_gateway_cli_is_deterministic_with_seed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "records=3" in out
     assert "bundles_dispatched=3" in out
+
+
+def test_gateway_cli_scrubs_authors_who_tweet_later(tmp_path, capsys):
+    # record 1 mentions the author of record 2; the gateway sees record 1 first
+    feed = [
+        ProcessedTweet(
+            creation_date="Sat Sep 07 20:14:03 +0000 2019", id=str(9_100_000_000_000_000_000 + i),
+            lang="en", location="Delhi, India", name=name, username=username, text=text,
+            country="India", city="Delhi",
+        )
+        for i, (username, name, text) in enumerate([
+            ("asha_rao", "Asha Rao", "OT lunch with @bena_kapoor today"),
+            ("bena_kapoor", "Bena Kapoor", "OT sushi tonight"),
+        ])
+    ]
+    in_file = tmp_path / "in.json"
+    in_file.write_text(json.dumps([vars(r) for r in feed]), encoding="utf-8")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    rc = main([
+        "--data-dir", str(tmp_path), "--seed", "11", "--virtual-clock", "0",
+        "gateway", "--no-fsync", "--in", str(in_file), "--registry", str(registry),
+    ])
+    assert rc == 0
+    assert "bundles_dispatched=2" in capsys.readouterr().out
+
+    # criterion 07's scan: no identifier anywhere in the ledger or a sink file
+    haystack = (tmp_path / "ledger.jsonl").read_text(encoding="utf-8")
+    for bundle_file in (tmp_path / "sinks").rglob("bundles.jsonl"):
+        haystack += bundle_file.read_text(encoding="utf-8")
+    leaks = [ident for r in feed for ident in (r.username, r.name, r.id) if ident in haystack]
+    assert leaks == []
 
 
 def test_ledger_cli_breach_then_report(tmp_path, capsys):

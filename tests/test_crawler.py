@@ -1,6 +1,7 @@
 """Crawl loop tests: filtering, throttling, dedup, retry, file output."""
 
 import json
+import logging
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -16,7 +17,6 @@ from tweetpipe.crawler import (
     SearchClient,
     SeenIds,
     filter_reason,
-    filter_tweet,
     parse_status,
     prefix_text,
     run_crawl,
@@ -66,7 +66,7 @@ def make_tweet(**overrides):
     ],
 )
 def test_filter_tweet(location, lang, keep):
-    assert filter_tweet(make_tweet(location=location, lang=lang)) is keep
+    assert (filter_reason(make_tweet(location=location, lang=lang)) is None) is keep
 
 
 def test_filter_reason_prefers_location():
@@ -203,6 +203,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     script: list[int] = []
     calls = 0
+    page: dict = {"statuses": [], "next": "tok"}
 
     def do_GET(self):
         cls = type(self)
@@ -212,7 +213,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             body = b"{}"
             self.send_response(code)
         else:
-            body = json.dumps({"statuses": [], "next": "tok"}).encode()
+            body = json.dumps(cls.page).encode()
             self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -368,6 +369,21 @@ def test_run_crawl_survives_unreachable_endpoint(tmp_path):
     stats = run_crawl(cfg, clock=VirtualClock(T0))
     assert stats.request_failures == 2
     assert stats.tweets_seen == 0
+
+
+def test_malformed_status_log_carries_no_identifier(scripted_server, tmp_path, caplog):
+    url, handler = scripted_server
+    tweet = make_tweet(username="zq_hidden_handle", name="Zq Hidden Name", location="Zqville")
+    status = tweet.to_status()
+    del status["lang"]
+    handler.page = {"statuses": [status], "next": "tok"}
+    cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), max_requests=1)
+    with caplog.at_level(logging.DEBUG, logger="tweetpipe"):
+        stats = run_crawl(cfg, clock=VirtualClock(T0))
+    assert stats.tweets_seen == 0
+    assert "malformed status skipped" in caplog.text
+    for value in (tweet.username, tweet.name, tweet.location, str(tweet.id), tweet.text):
+        assert value not in caplog.text
 
 
 def test_run_crawl_respects_duration(tmp_path):

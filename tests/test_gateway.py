@@ -1,5 +1,6 @@
 """Pseudonymization, scrubbing, routing, and erasure tests."""
 
+import dataclasses
 import json
 import random
 
@@ -11,6 +12,8 @@ from tweetpipe.gateway import (
     CategoryBundle,
     CategoryRules,
     DEFAULT_CATEGORY,
+    INVULNERABLE_FIELDS,
+    VULNERABLE_FIELDS,
     DirectorySink,
     ListSink,
     NoServiceForCategoryError,
@@ -72,6 +75,13 @@ def test_content_fields_are_invulnerable():
         label = classify_sensitivity(field)
         assert label.label == "invulnerable"
         assert label.threat is None
+
+
+def test_every_record_field_is_classified():
+    names = {f.name for f in dataclasses.fields(ProcessedTweet)}
+    for name in names:
+        classify_sensitivity(name)
+    assert names == VULNERABLE_FIELDS | set(INVULNERABLE_FIELDS)
 
 
 def test_unknown_field_rejected():
@@ -192,11 +202,11 @@ def test_vault_rejects_corrupt_history(tmp_path):
 
 
 def test_binding_records_creation_time(tmp_path):
-    with Vault(tmp_path / "v.jsonl", clock=VirtualClock(T0)) as vault:
-        vault.register("a:1")
-        binding = vault.binding_for("a:1")
-    assert binding.created_at == T0
-    assert binding.code == vault.code_for("a:1")
+    path = tmp_path / "v.jsonl"
+    with Vault(path, clock=VirtualClock(T0)) as vault:
+        code = vault.register("a:1")
+    (op,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert op == {"op": "bind", "user_key": "a:1", "code": code, "created_at": T0}
 
 
 def test_user_key_format():
@@ -242,11 +252,13 @@ def test_rules_load_rejects_duplicates(tmp_path):
 
 
 def test_bundle_payload_has_no_identity_fields(gateway):
+    # the key order is part of the sink format
+    assert INVULNERABLE_FIELDS == ("text", "lang", "country", "creation_date")
     pt = make_pt()
     bundles = gateway.pseudonymize(pt)
     assert bundles
     for bundle in bundles:
-        assert set(bundle.payload) == {"text", "lang", "country", "creation_date"}
+        assert list(bundle.payload) == list(INVULNERABLE_FIELDS)
         serialized = json.dumps(bundle.to_dict())
         for secret in (pt.username, pt.name, pt.id, pt.location):
             assert secret not in serialized

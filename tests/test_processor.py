@@ -56,7 +56,7 @@ def test_earlier_occurrence_breaks_length_ties():
         GazetteerEntry(city="Aaaa", country="Xland"),
         GazetteerEntry(city="Bbbb", country="Yland"),
     ]
-    assert detect_location("Bbbb then Aaaa", entries) == ("Yland", "Bbbb")
+    assert detect_location("Bbbb then Aaaa", Gazetteer(entries)) == ("Yland", "Bbbb")
 
 
 def test_country_beats_city_at_same_position():
@@ -65,7 +65,7 @@ def test_country_beats_city_at_same_position():
         GazetteerEntry(city="Fooland", country="Barland"),
     ]
     # "Fooland" is both a country and a city name; the country reading wins
-    assert detect_location("Fooland", entries) == ("Fooland", None)
+    assert detect_location("Fooland", Gazetteer(entries)) == ("Fooland", None)
 
 
 def test_duplicate_aliases_keep_first_binding():
@@ -73,12 +73,7 @@ def test_duplicate_aliases_keep_first_binding():
         GazetteerEntry(city="Alpha", country="Xland", aliases=("twin",)),
         GazetteerEntry(city="Beta", country="Yland", aliases=("twin",)),
     ]
-    assert detect_location("twin", entries) == ("Xland", "Alpha")
-
-
-def test_detect_accepts_plain_entry_sequences():
-    entries = [GazetteerEntry(city="Delhi", country="India")]
-    assert detect_location("Delhi", entries) == ("India", "Delhi")
+    assert detect_location("twin", Gazetteer(entries)) == ("Xland", "Alpha")
 
 
 def test_entry_validation():
@@ -148,13 +143,6 @@ def test_city_without_country_is_invalid():
         )
 
 
-def test_dict_round_trip_keeps_nulls():
-    pt = ProcessedTweet.from_record(make_record(location="the moon"), WORLD)
-    d = pt.to_dict()
-    assert d["country"] is None and d["city"] is None
-    assert ProcessedTweet.from_dict(d) == pt
-
-
 # ----------------------------------------------------------------- file I/O
 
 
@@ -214,6 +202,15 @@ def test_read_processed_file_round_trip(tmp_path):
     records, _ = process_file(in_path, WORLD, out_root=str(tmp_path))
     loaded = read_processed_file(tmp_path / "09-08-2019-tweets-06 AM.json")
     assert loaded == records
+
+
+def test_dict_round_trip_keeps_nulls(tmp_path):
+    in_path = write_crawl_file(tmp_path, [encode_record(make_record(location="the moon"))])
+    records, _ = process_file(in_path, WORLD, out_root=str(tmp_path))
+    out_path = tmp_path / "09-08-2019-tweets-06 AM.json"
+    (d,) = json.loads(out_path.read_text(encoding="utf-8"))
+    assert d["country"] is None and d["city"] is None
+    assert read_processed_file(out_path) == records
 
 
 def test_find_crawl_files(tmp_path):
