@@ -183,17 +183,17 @@ def cmd_gateway(args) -> int:
     records = read_processed_file(args.in_file)
     rules = CategoryRules.load(args.rules) if args.rules else CategoryRules.default()
     out_dir = args.out or args.data_dir
-    registry = ServiceRegistry.load(args.registry, base_dir=out_dir)
     clock = _make_clock(args)
     rng = random.Random(args.seed) if args.seed is not None else None
     vault_path = args.vault or os.path.join(args.data_dir, "vault.jsonl")
     ledger_path = args.ledger or os.path.join(args.data_dir, "ledger.jsonl")
-    with Vault(vault_path, rng=rng, clock=clock) as vault:
-        with ComplianceLedger(ledger_path, clock=clock, fsync=not args.no_fsync) as ledger:
-            gw = PrivacyGateway(
-                vault, ledger, rules=rules, retention_days=args.retention_days
-            )
-            dispatched = gw.dispatch_feed(records, registry)
+    with (
+        ServiceRegistry.load(args.registry, base_dir=out_dir) as registry,
+        Vault(vault_path, rng=rng, clock=clock) as vault,
+        ComplianceLedger(ledger_path, clock=clock, fsync=not args.no_fsync) as ledger,
+    ):
+        gw = PrivacyGateway(vault, ledger, rules=rules, retention_days=args.retention_days)
+        dispatched = gw.dispatch_feed(records, registry)
     print(f"records={len(records)}")
     print(f"bundles_dispatched={dispatched}")
     print(f"vault={vault_path}")

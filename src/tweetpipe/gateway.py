@@ -326,16 +326,29 @@ class CategoryRules:
 
 
 class DirectorySink:
-    """Delivers bundles by appending JSON lines under a directory."""
+    """Delivers bundles by appending JSON lines under a directory.
+
+    bundles.jsonl is opened on the first delivery and stays open until
+    close(); each bundle is flushed before deliver returns, so the line
+    reaches the OS before the gateway writes its ledger entry.
+    """
 
     def __init__(self, directory):
         self.directory = str(directory)
+        self._fh = None
 
     def deliver(self, bundle: CategoryBundle) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, "bundles.jsonl")
-        with open(path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
+        if self._fh is None:
+            os.makedirs(self.directory, exist_ok=True)
+            path = os.path.join(self.directory, "bundles.jsonl")
+            self._fh = open(path, "a", encoding="utf-8", newline="\n")
+        self._fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 class HttpSink:
@@ -349,15 +362,8 @@ class HttpSink:
         resp = requests.post(self.url, json=bundle.to_dict(), timeout=self._timeout_s)
         resp.raise_for_status()
 
-
-class ListSink:
-    """In-memory sink; handy for tests and dry runs."""
-
-    def __init__(self):
-        self.bundles: list[CategoryBundle] = []
-
-    def deliver(self, bundle: CategoryBundle) -> None:
-        self.bundles.append(bundle)
+    def close(self) -> None:
+        """Nothing to release; each delivery is its own request."""
 
 
 class ServiceRegistry:
@@ -387,6 +393,16 @@ class ServiceRegistry:
 
     def categories(self) -> list[str]:
         return [c for c in CATEGORIES if c in self._sinks]
+
+    def close(self) -> None:
+        for sink in self._sinks.values():
+            sink.close()
+
+    def __enter__(self) -> "ServiceRegistry":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @classmethod
     def load(cls, path, base_dir: str = ".") -> "ServiceRegistry":
@@ -432,25 +448,28 @@ class PrivacyGateway:
         self.rules = rules or CategoryRules.default()
         self.purpose = purpose
         self.retention_days = retention_days
-        # Scrub terms bucketed by first character, then by length, so a
-        # new registration is O(1) and a scrub is one left-to-right pass.
-        # (A single regex alternation would need recompiling on every
-        # registration — quadratic over a large user base.)
-        self._scrub_index: dict[str, dict[int, set[str]]] = {}
-        self._scrub_lengths: dict[str, list[int]] = {}
-        self._scrub_count = 0
+        # Scrub terms keyed by their folded first SCRUB_MIN_LENGTH
+        # characters; each entry holds that prefix's terms and their
+        # lengths, longest first. A registration touches one entry, and a
+        # scrub is one left-to-right pass with one slice and one dict
+        # lookup per position. (A single regex alternation would need
+        # recompiling on every registration — quadratic over a large user
+        # base.)
+        self._scrub_index: dict[str, tuple[set[str], list[int]]] = {}
+        # (user_key, identifiers) pairs whose terms are already indexed.
+        self._indexed: set[tuple[str, tuple]] = set()
 
     def _add_scrub_terms(self, identifiers) -> None:
         for ident in identifiers:
             if len(ident) < SCRUB_MIN_LENGTH:
                 continue
             term = _fold(ident)
-            by_len = self._scrub_index.setdefault(term[0], {})
-            bucket = by_len.setdefault(len(term), set())
-            if term not in bucket:
-                bucket.add(term)
-                self._scrub_count += 1
-                self._scrub_lengths[term[0]] = sorted(by_len, reverse=True)
+            terms, lengths = self._scrub_index.setdefault(term[:SCRUB_MIN_LENGTH], (set(), []))
+            if term not in terms:
+                terms.add(term)
+                if len(term) not in lengths:
+                    lengths.append(len(term))
+                    lengths.sort(reverse=True)
 
     def _scrub(self, text: str) -> str:
         """Replace every registered identifier occurrence with ***.
@@ -460,32 +479,44 @@ class PrivacyGateway:
         behind after an "anna" hit), and scanning resumes after the
         replacement.
         """
-        if not self._scrub_count:
+        index = self._scrub_index
+        if not index:
             return text
         lowered = _fold(text)
         out: list[str] = []
+        kept = 0  # text[kept:i] has been scanned and holds no term
         i = 0
-        n = len(lowered)
-        while i < n:
-            by_len = self._scrub_index.get(lowered[i])
-            if by_len is not None:
-                for length in self._scrub_lengths[lowered[i]]:
-                    if i + length <= n and lowered[i:i + length] in by_len[length]:
+        last = len(lowered) - SCRUB_MIN_LENGTH
+        while i <= last:
+            entry = index.get(lowered[i:i + SCRUB_MIN_LENGTH])
+            if entry is not None:
+                terms, lengths = entry
+                # Near the end a slice comes out shorter than asked; it
+                # then matches only a term of exactly that shorter length.
+                for length in lengths:
+                    if lowered[i:i + length] in terms:
+                        out.append(text[kept:i])
                         out.append(SCRUB_REPLACEMENT)
-                        i += length
+                        i = kept = i + length
                         break
                 else:
-                    out.append(text[i])
                     i += 1
             else:
-                out.append(text[i])
                 i += 1
+        out.append(text[kept:])
         return "".join(out)
 
     def register_user(self, user_key: str, identifiers=()) -> str:
-        """Vault registration plus scrub-list bookkeeping."""
+        """Vault registration plus scrub-list bookkeeping.
+
+        The vault is asked every time, since only it knows whether an
+        erasure means a fresh code; the identifiers are indexed once.
+        """
         code = self.vault.register(user_key, identifiers=identifiers)
-        self._add_scrub_terms(identifiers)
+        indexed = (user_key, tuple(identifiers))
+        if indexed not in self._indexed:
+            self._indexed.add(indexed)
+            self._add_scrub_terms(identifiers)
         return code
 
     def _register_author(self, t: ProcessedTweet) -> str:

@@ -46,6 +46,10 @@ class ComplianceLedger:
         self._clock = clock or SystemClock()
         self._fsync = fsync
         self._entries: list[dict] = []
+        # iso_utc has one-second resolution, so entries written within the
+        # same second share one rendering.
+        self._at_second: int | None = None
+        self._at = ""
         self._load()
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
@@ -128,7 +132,7 @@ class ComplianceLedger:
             "beneficiary": beneficiary,
             "purpose": purpose,
             "retention_days": retention_days,
-            "at": iso_utc(self._clock.now_ms()),
+            "at": self._iso_now(),
         }
         if minor is not None:
             entry["minor"] = bool(minor)
@@ -139,14 +143,12 @@ class ComplianceLedger:
         self._entries.append(entry)
         return entry["seq"]
 
-    def beneficiaries_of(self, code: str) -> list[tuple[str, str, int, str]]:
-        """(beneficiary, purpose, retention_days, at) for every disclosure
-        of this code, in ledger order."""
-        return [
-            (e["beneficiary"], e["purpose"], e["retention_days"], e["at"])
-            for e in self._entries
-            if e["event"] == EVENT_DISCLOSURE and e["subject_code"] == code
-        ]
+    def _iso_now(self) -> str:
+        second = self._clock.now_ms() // 1000
+        if second != self._at_second:
+            self._at_second = second
+            self._at = iso_utc(second * 1000)
+        return self._at
 
     def record_breach(self, affected_codes) -> list[int]:
         """One breach_notice entry per affected code; returns their seqs."""

@@ -283,7 +283,7 @@ def test_criterion_07_no_identifier_leaks(tmp_path):
     ledger = ComplianceLedger(tmp_path / "ledger.jsonl", clock=VirtualClock(T0))
     gateway = PrivacyGateway(vault, ledger)
     dispatched = 0
-    with vault, ledger:
+    with vault, ledger, registry:
         # the user base is enrolled up front, so every identifier is on
         # the scrub list before the first bundle leaves the gateway
         for record in records:

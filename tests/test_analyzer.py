@@ -155,13 +155,15 @@ def test_sort_rows_orders_by_count_then_key():
 def test_write_csv_body(tmp_path):
     rows = [AnalysisRow("en", 2), AnalysisRow("hi", 1)]
     path = write_csv("builtin_lang", rows, str(tmp_path))
-    content = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        content = fh.read()
     assert content == "key,count\nen,2\nhi,1\n"
 
 
 def test_write_csv_quotes_embedded_commas(tmp_path):
     path = write_csv("t", [AnalysisRow("a,b", 1)], str(tmp_path))
-    assert open(path, encoding="utf-8").read() == 'key,count\n"a,b",1\n'
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == 'key,count\n"a,b",1\n'
 
 
 def test_csv_round_trip(tmp_path):

@@ -173,6 +173,7 @@ def test_mock_serve_and_crawl_subprocesses(tmp_path):
     finally:
         serve.terminate()
         serve.wait(timeout=10)
+        serve.stdout.close()
 
 
 # ------------------------------------------------- analyze / prune / misc

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tweetpipe.clock import VirtualClock
 from tweetpipe.gateway import (
@@ -14,8 +15,9 @@ from tweetpipe.gateway import (
     DEFAULT_CATEGORY,
     INVULNERABLE_FIELDS,
     VULNERABLE_FIELDS,
+    SCRUB_MIN_LENGTH,
+    SCRUB_REPLACEMENT,
     DirectorySink,
-    ListSink,
     NoServiceForCategoryError,
     PrivacyGateway,
     Recommendation,
@@ -26,6 +28,7 @@ from tweetpipe.gateway import (
     UnknownUserError,
     Vault,
     VaultError,
+    _fold,
     classify_sensitivity,
     user_key_for,
 )
@@ -301,7 +304,107 @@ def test_categories_decided_before_scrubbing(gateway):
     assert "deal" not in bundles[0].payload["text"]
 
 
+def recording(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_reregistration_indexes_identifiers_once(gateway, monkeypatch):
+    indexed, registered = [], []
+    monkeypatch.setattr(gateway, "_add_scrub_terms", recording(indexed, gateway._add_scrub_terms))
+    monkeypatch.setattr(gateway.vault, "register", recording(registered, gateway.vault.register))
+    pt = make_pt(text="OT ping @asha_rao")
+    first = gateway.pseudonymize(pt)[0]
+    assert gateway.pseudonymize(pt)[0].code == first.code
+    assert len(registered) == 2  # the vault is still asked every time
+    assert len(indexed) == 1
+    # an erased user comes back under a fresh code and stays scrubbed
+    gateway.erase_user(user_key_for(pt.username, pt.id))
+    again = gateway.pseudonymize(pt)[0]
+    assert again.code != first.code
+    assert "asha_rao" not in again.payload["text"]
+    assert len(indexed) == 1
+    # new identifiers under a known key are indexed too
+    gateway.register_user(user_key_for(pt.username, pt.id),
+                          identifiers=(pt.username, "Asha R. Rao", pt.id))
+    assert len(indexed) == 2
+    assert gateway._scrub("OT hi Asha R. Rao") == "OT hi ***"
+
+
+def reference_scrub(terms, text):
+    """Brute force: at each position try every term, longest first."""
+    folded = _fold(text)
+    ordered = sorted({_fold(t) for t in terms if len(t) >= SCRUB_MIN_LENGTH},
+                     key=len, reverse=True)
+    out, i = [], 0
+    while i < len(folded):
+        hit = next((term for term in ordered if folded.startswith(term, i)), None)
+        if hit is None:
+            out.append(text[i])
+            i += 1
+        else:
+            out.append(SCRUB_REPLACEMENT)
+            i += len(hit)
+    return "".join(out)
+
+
+# 'İ' lowercases to two characters, so _fold keeps it as it is.
+SCRUB_ALPHABET = "abAB_İi "
+
+
+@st.composite
+def scrub_terms(draw):
+    """Terms sharing one 4-character prefix, of several lengths, plus
+    unrelated terms and ones too short to register."""
+    prefix = draw(st.text(SCRUB_ALPHABET, min_size=SCRUB_MIN_LENGTH, max_size=SCRUB_MIN_LENGTH))
+    tails = draw(st.lists(st.text(SCRUB_ALPHABET, max_size=5), max_size=4))
+    others = draw(st.lists(st.text(SCRUB_ALPHABET, min_size=1, max_size=9), max_size=3))
+    return [prefix + tail for tail in tails] + others
+
+
+@st.composite
+def scrub_texts(draw, terms):
+    """Text built from terms (in any case) and filler, so matches land
+    anywhere, the very end included; or short free text."""
+    pieces = draw(st.lists(st.one_of(
+        st.sampled_from(terms).map(lambda t: t.swapcase()) if terms else st.nothing(),
+        st.sampled_from(terms) if terms else st.nothing(),
+        st.text(SCRUB_ALPHABET, max_size=5),
+    ), max_size=8))
+    return draw(st.one_of(st.just("".join(pieces)),
+                          st.text(SCRUB_ALPHABET, max_size=SCRUB_MIN_LENGTH - 1)))
+
+
+@given(st.data())
+def test_scrub_matches_brute_force_as_terms_are_added(data):
+    gw = PrivacyGateway(vault=None, ledger=None, rules=CategoryRules({}))
+    registered = []
+    for _ in range(2):
+        batch = data.draw(scrub_terms())
+        gw._add_scrub_terms(batch)
+        registered += batch
+        for _ in range(3):
+            text = data.draw(scrub_texts(registered))
+            assert gw._scrub(text) == reference_scrub(registered, text)
+
+
 # ---------------------------------------------------------------- dispatch
+
+
+class ListSink:
+    """In-memory sink."""
+
+    def __init__(self):
+        self.bundles: list[CategoryBundle] = []
+        self.closed = False
+
+    def deliver(self, bundle: CategoryBundle) -> None:
+        self.bundles.append(bundle)
+
+    def close(self) -> None:
+        self.closed = True
 
 
 def build_registry(categories=CATEGORIES):
@@ -348,14 +451,57 @@ def test_dispatch_without_service_fails_loudly(gateway):
 
 def test_directory_sink_appends_jsonl(tmp_path, gateway):
     sink = DirectorySink(tmp_path / "food")
-    registry = ServiceRegistry()
-    registry.add("food", sink, beneficiary="svc-food")
-    bundle = gateway.pseudonymize(make_pt(text="OT sushi"))[0]
-    gateway.dispatch(bundle, registry)
-    gateway.dispatch(bundle, registry)
+    with ServiceRegistry() as registry:
+        registry.add("food", sink, beneficiary="svc-food")
+        bundle = gateway.pseudonymize(make_pt(text="OT sushi"))[0]
+        gateway.dispatch(bundle, registry)
+        gateway.dispatch(bundle, registry)
     lines = (tmp_path / "food" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0]) == bundle.to_dict()
+
+
+def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeypatch):
+    def lines_on_disk(category):
+        path = tmp_path / category / "bundles.jsonl"
+        return len(path.read_text(encoding="utf-8").splitlines()) if path.exists() else 0
+
+    def disclosures(beneficiary):
+        return sum(e["beneficiary"] == beneficiary for e in gateway.ledger.entries())
+
+    record = gateway.ledger.record
+
+    def checked_record(event, subject_code, beneficiary=None, **fields):
+        assert lines_on_disk(beneficiary.removeprefix("svc-")) == disclosures(beneficiary) + 1
+        return record(event, subject_code, beneficiary=beneficiary, **fields)
+
+    monkeypatch.setattr(gateway.ledger, "record", checked_record)
+    with ServiceRegistry() as registry:
+        for category in CATEGORIES:
+            registry.add(category, DirectorySink(tmp_path / category),
+                         beneficiary=f"svc-{category}")
+        for text in ("OT sushi night", "OT flight booked, sushi after",
+                     "OT plain words", "OT great deal on shoes", "OT sushi again"):
+            for bundle in gateway.pseudonymize(make_pt(text=text)):
+                gateway.dispatch(bundle, registry)
+                for category in CATEGORIES:
+                    assert lines_on_disk(category) == disclosures(f"svc-{category}")
+    assert len(gateway.ledger) == 6
+
+
+def test_registry_closes_every_sink_when_a_dispatch_fails(tmp_path, gateway):
+    directory_sink = DirectorySink(tmp_path / "food")
+    list_sink = ListSink()
+    with pytest.raises(NoServiceForCategoryError):
+        with ServiceRegistry() as registry:
+            registry.add("food", directory_sink, beneficiary="svc-food")
+            registry.add("travel", list_sink, beneficiary="svc-travel")
+            gateway.dispatch(gateway.pseudonymize(make_pt(text="OT sushi"))[0], registry)
+            fh = directory_sink._fh
+            assert not fh.closed
+            gateway.dispatch(gateway.pseudonymize(make_pt(text="OT plain words"))[0], registry)
+    assert fh.closed
+    assert list_sink.closed
 
 
 def test_registry_load(tmp_path):
@@ -443,6 +589,7 @@ def test_no_identifier_reaches_sinks_or_ledger(tmp_path):
         for bundle in gateway.pseudonymize(make_pt(text=text, username=username,
                                                    name=name, id=uid)):
             gateway.dispatch(bundle, registry)
+    registry.close()
     vault.close()
     ledger.close()
 
