@@ -14,12 +14,14 @@ All waiting goes through an injectable clock; under a virtual clock an
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
+import select
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from .clock import SystemClock
 from .codec import (
@@ -218,6 +220,9 @@ class SearchClient:
     exponential backoff (1 s, 2 s, 4 s) before the page is abandoned.
     Application errors (401/429/400) map to typed exceptions and are
     never retried here; the crawl loop decides what to do with them.
+
+    Pages are fetched over one persistent connection, reopened after a
+    failure or when the server has closed it.
     """
 
     MAX_RETRIES = 3
@@ -225,23 +230,28 @@ class SearchClient:
 
     def __init__(self, endpoint: str, creds: Credentials, clock,
                  timeout_s: float = 10.0, on_attempt=None):
-        self._url = endpoint.rstrip("/") + SEARCH_PATH
+        url = urlsplit(endpoint.rstrip("/") + SEARCH_PATH)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL, got {endpoint!r}")
+        connection = (http.client.HTTPSConnection if url.scheme == "https"
+                      else http.client.HTTPConnection)
+        self._conn = connection(url.hostname, url.port, timeout=timeout_s)
+        self._path = url.path
         self._creds = creds
         self._clock = clock
-        self._timeout_s = timeout_s
         # Called with now_ms before each wire attempt; the crawl loop
         # uses it to charge its window once per attempt, retries included.
         self._on_attempt = on_attempt
-        self._session = requests.Session()
 
     def close(self) -> None:
-        self._session.close()
+        self._conn.close()
 
     def search(self, count: int, next_token: str | None) -> tuple[list, str | None]:
         """Fetch one page; returns (status dicts, next token)."""
         params: dict = {"count": count}
         if next_token is not None:
             params["next"] = next_token
+        target = self._path + "?" + urlencode(params)
         backoff_ms = self.BACKOFF_START_MS
         failure: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
@@ -254,23 +264,31 @@ class SearchClient:
                 # Keeps a virtual-clock server in lockstep; harmless otherwise.
                 "x-virtual-now-ms": str(now_ms),
             }
+            sock = self._conn.sock
+            if sock is not None and select.select([sock], [], [], 0)[0]:
+                # An idle connection has nothing to read unless the server
+                # closed it; reconnect instead of spending a retry on it.
+                self._conn.close()
             try:
-                resp = self._session.get(
-                    self._url, params=params, headers=headers, timeout=self._timeout_s
-                )
-            except requests.RequestException as exc:
+                self._conn.request("GET", target, headers=headers)
+                resp = self._conn.getresponse()
+                # Read the whole body, so the connection is free for the
+                # next request.
+                body = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._conn.close()
                 failure = exc
             else:
-                if resp.status_code == 200:
-                    body = resp.json()
-                    return body.get("statuses", []), body.get("next")
-                if resp.status_code == 401:
-                    raise AuthError(_body_error(resp))
-                if resp.status_code == 429:
-                    raise RateLimitError(_reset_at(resp, now_ms))
-                if resp.status_code == 400:
-                    raise BadTokenError(_body_error(resp))
-                failure = FetchError(f"server returned {resp.status_code}")
+                if resp.status == 200:
+                    page = json.loads(body)
+                    return page.get("statuses", []), page.get("next")
+                if resp.status == 401:
+                    raise AuthError(_body_error(resp, body))
+                if resp.status == 429:
+                    raise RateLimitError(_reset_at(resp, body, now_ms))
+                if resp.status == 400:
+                    raise BadTokenError(_body_error(resp, body))
+                failure = FetchError(f"server returned {resp.status}")
             if attempt < self.MAX_RETRIES:
                 log.warning("search request failed (%s), retrying in %d ms", failure, backoff_ms)
                 self._clock.sleep_ms(backoff_ms)
@@ -278,19 +296,19 @@ class SearchClient:
         raise FetchError(str(failure))
 
 
-def _body_error(resp) -> str:
+def _body_error(resp: http.client.HTTPResponse, body: bytes) -> str:
     try:
-        return str(resp.json().get("error", resp.reason))
+        return str(json.loads(body).get("error", resp.reason))
     except ValueError:
         return str(resp.reason)
 
 
-def _reset_at(resp, now_ms: int) -> int:
+def _reset_at(resp: http.client.HTTPResponse, body: bytes, now_ms: int) -> int:
     try:
-        return int(resp.json()["reset_at_ms"])
+        return int(json.loads(body)["reset_at_ms"])
     except (ValueError, KeyError, TypeError):
         pass
-    header = resp.headers.get("x-rate-limit-reset-ms")
+    header = resp.getheader("x-rate-limit-reset-ms")
     if header is not None:
         return int(header)
     return (now_ms // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS

@@ -325,6 +325,13 @@ class FirehoseEngine:
 class _Handler(BaseHTTPRequestHandler):
     engine: FirehoseEngine  # set by the server factory
 
+    # Keep-alive: every response carries Content-Length, so a client can
+    # send its next request on the same connection.
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
     def log_message(self, fmt, *args):  # keep test output quiet
         log.debug("mock api: " + fmt, *args)
 

@@ -18,8 +18,7 @@ import secrets
 import threading
 from dataclasses import dataclass
 from importlib import resources
-
-import requests
+from urllib.request import Request, urlopen
 
 from .clock import SystemClock
 from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger
@@ -359,11 +358,18 @@ class HttpSink:
         self._timeout_s = timeout_s
 
     def deliver(self, bundle: CategoryBundle) -> None:
-        resp = requests.post(self.url, json=bundle.to_dict(), timeout=self._timeout_s)
-        resp.raise_for_status()
+        """POST the bundle; a non-2xx response raises urllib's HTTPError."""
+        request = Request(
+            self.url,
+            data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urlopen(request, timeout=self._timeout_s):
+            pass
 
     def close(self) -> None:
-        """Nothing to release; each delivery is its own request."""
+        """Nothing to release; each delivery opens and closes its own
+        connection."""
 
 
 class ServiceRegistry:

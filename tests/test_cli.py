@@ -176,6 +176,17 @@ def test_mock_serve_and_crawl_subprocesses(tmp_path):
         serve.stdout.close()
 
 
+def test_cli_imports_only_the_standard_library_for_http():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tweetpipe.cli, tweetpipe.gateway; "
+         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
 # ------------------------------------------------- analyze / prune / misc
 
 

@@ -24,11 +24,13 @@ from tweetpipe.crawler import (
 )
 from tweetpipe.firehose import (
     AuthError,
+    BadTokenError,
     Credentials,
     FirehoseEngine,
     MockFirehoseServer,
     RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
+    RateLimitError,
     RateWindow,
     RawTweet,
 )
@@ -279,6 +281,112 @@ def test_client_fails_fast_when_nothing_listens():
     with pytest.raises(FetchError):
         client.search(10, None)
     client.close()
+
+
+@pytest.mark.parametrize("endpoint", ["127.0.0.1:8080", "ftp://127.0.0.1", "http://"])
+def test_client_rejects_endpoint_that_is_not_an_http_url(endpoint):
+    with pytest.raises(ValueError):
+        SearchClient(endpoint, Credentials(), VirtualClock(T0))
+
+
+class _DroppingHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 server that drops each connection after its response
+    without a ``Connection: close`` header, as a server reaping idle
+    keep-alive connections does."""
+
+    protocol_version = "HTTP/1.1"
+    calls = 0
+    dropped: threading.Semaphore
+
+    def do_GET(self):
+        type(self).calls += 1
+        body = json.dumps({"statuses": [], "next": "tok"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+        self.connection.shutdown(socket.SHUT_RDWR)
+        type(self).dropped.release()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_client_reconnects_without_retry_when_server_dropped_idle_connection():
+    handler = type("Handler", (_DroppingHandler,), {"dropped": threading.Semaphore(0)})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    clock = VirtualClock(T0)
+    charged = []
+    client = SearchClient(f"http://127.0.0.1:{server.server_address[1]}", Credentials(),
+                          clock, on_attempt=charged.append)
+    try:
+        for _ in range(5):
+            assert client.search(10, None) == ([], "tok")
+            # The next page is requested on an idle connection the server
+            # has already dropped.
+            assert handler.dropped.acquire(timeout=5)
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+    assert len(charged) == 5
+    assert handler.calls == 5
+    assert clock.now_ms() == T0  # no backoff
+
+
+@pytest.fixture()
+def counted_mock(monkeypatch):
+    """A MockFirehoseServer whose accepted TCP connections are counted."""
+    accepted = []
+    get_request = ThreadingHTTPServer.get_request
+
+    def counting(self):
+        conn = get_request(self)
+        accepted.append(conn[1])
+        return conn
+
+    monkeypatch.setattr(ThreadingHTTPServer, "get_request", counting)
+    engine = FirehoseEngine(seed=3, credentials=Credentials())
+    with MockFirehoseServer(engine) as server:
+        yield server, accepted
+
+
+def test_run_crawl_reuses_one_connection(counted_mock, tmp_path):
+    server, accepted = counted_mock
+    cfg = CrawlConfig(endpoint=server.url, out_dir=str(tmp_path), max_requests=20)
+    stats = run_crawl(cfg, clock=VirtualClock(T0))
+    assert stats.requests == 20
+    assert stats.tweets_seen == 2000
+    assert server.engine.requests_served == 20
+    assert len(accepted) == 1
+
+
+def test_connection_survives_error_responses(counted_mock):
+    server, accepted = counted_mock
+    aligned = (T0 // RATE_WINDOW_MS) * RATE_WINDOW_MS
+    clock = VirtualClock(aligned)
+    client = SearchClient(server.url, Credentials(), clock)
+    try:
+        with pytest.raises(BadTokenError):
+            client.search(10, "junk")
+        statuses, _ = client.search(10, None)
+        assert len(statuses) == 10
+
+        for _ in range(RATE_LIMIT_CAPACITY - 2):
+            server.engine.search(Credentials(), count=1, now_ms=aligned)
+        with pytest.raises(RateLimitError) as exc_info:
+            client.search(10, None)
+        assert exc_info.value.reset_at_ms == aligned + RATE_WINDOW_MS
+        clock.sleep_ms(RATE_WINDOW_MS)
+        statuses, _ = client.search(10, None)
+        assert len(statuses) == 10
+    finally:
+        client.close()
+    assert len(accepted) == 1
 
 
 # --------------------------------------------------------------- run_crawl

@@ -1,9 +1,11 @@
 """Mock search API tests: determinism, quota, pagination, duplicate mode."""
 
 import datetime as dt
+import http.client
+import json
+from urllib.parse import urlencode, urlsplit
 
 import pytest
-import requests
 
 from tweetpipe.firehose import (
     AuthError,
@@ -211,15 +213,25 @@ def auth_headers(now_ms=T0):
     }
 
 
+def http_get(server, path, params=None, headers=None):
+    """One GET on its own connection; returns (response, parsed JSON body)."""
+    url = urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        if params:
+            path += "?" + urlencode(params)
+        conn.request("GET", path, headers=headers or {})
+        resp = conn.getresponse()
+        return resp, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 def test_http_search_ok(server):
-    resp = requests.get(
-        f"{server.url}/1.1/search/tweets.json",
-        params={"count": "3"},
-        headers=auth_headers(),
-        timeout=5,
+    resp, body = http_get(
+        server, "/1.1/search/tweets.json", params={"count": "3"}, headers=auth_headers()
     )
-    assert resp.status_code == 200
-    body = resp.json()
+    assert resp.status == 200
     assert len(body["statuses"]) == 3
     assert body["next"]
     assert resp.headers["x-rate-limit-remaining"] == str(RATE_LIMIT_CAPACITY - 1)
@@ -227,47 +239,38 @@ def test_http_search_ok(server):
 
 
 def test_http_auth_failure(server):
-    resp = requests.get(
-        f"{server.url}/1.1/search/tweets.json",
+    resp, _ = http_get(
+        server, "/1.1/search/tweets.json",
         headers={"x-app-key": "wrong", "x-app-secret": "wrong"},
-        timeout=5,
     )
-    assert resp.status_code == 401
+    assert resp.status == 401
 
 
 def test_http_bad_token(server):
-    resp = requests.get(
-        f"{server.url}/1.1/search/tweets.json",
-        params={"next": "junk"},
-        headers=auth_headers(),
-        timeout=5,
+    resp, _ = http_get(
+        server, "/1.1/search/tweets.json", params={"next": "junk"}, headers=auth_headers()
     )
-    assert resp.status_code == 400
+    assert resp.status == 400
 
 
 def test_http_rate_limited(server):
-    url = f"{server.url}/1.1/search/tweets.json"
+    path = "/1.1/search/tweets.json"
     for _ in range(RATE_LIMIT_CAPACITY):
-        assert requests.get(
-            url, params={"count": "1"}, headers=auth_headers(), timeout=5
-        ).status_code == 200
-    resp = requests.get(url, params={"count": "1"}, headers=auth_headers(), timeout=5)
-    assert resp.status_code == 429
+        assert http_get(
+            server, path, params={"count": "1"}, headers=auth_headers()
+        )[0].status == 200
+    resp, _ = http_get(server, path, params={"count": "1"}, headers=auth_headers())
+    assert resp.status == 429
     assert int(resp.headers["x-rate-limit-reset-ms"]) % RATE_WINDOW_MS == 0
 
 
 def test_http_rate_status_endpoint(server):
-    resp = requests.get(
-        f"{server.url}/rate_limit_status",
-        headers=auth_headers(),
-        timeout=5,
-    )
-    assert resp.status_code == 200
-    body = resp.json()
+    resp, body = http_get(server, "/rate_limit_status", headers=auth_headers())
+    assert resp.status == 200
     assert body["remaining"] == RATE_LIMIT_CAPACITY
     assert body["reset_at_ms"] % RATE_WINDOW_MS == 0
 
 
 def test_http_unknown_path(server):
-    resp = requests.get(f"{server.url}/nope", timeout=5)
-    assert resp.status_code == 404
+    resp, _ = http_get(server, "/nope")
+    assert resp.status == 404

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import HTTPError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,7 @@ from tweetpipe.gateway import (
     SCRUB_MIN_LENGTH,
     SCRUB_REPLACEMENT,
     DirectorySink,
+    HttpSink,
     NoServiceForCategoryError,
     PrivacyGateway,
     Recommendation,
@@ -502,6 +506,60 @@ def test_registry_closes_every_sink_when_a_dispatch_fails(tmp_path, gateway):
             gateway.dispatch(gateway.pseudonymize(make_pt(text="OT plain words"))[0], registry)
     assert fh.closed
     assert list_sink.closed
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """Records each POST and answers with ``status``."""
+
+    status = 200
+    posts: list
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).posts.append((self.headers["Content-Type"], body))
+        self.send_response(self.status)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def post_server():
+    handler = type("Handler", (_RecordingHandler,), {"posts": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/hook", handler
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_sink_posts_bundle_as_json(post_server, gateway):
+    url, handler = post_server
+    with ServiceRegistry() as registry:
+        registry.add("food", HttpSink(url), beneficiary="svc-food")
+        bundle = gateway.pseudonymize(make_pt(text="OT sushi night, café after"))[0]
+        gateway.dispatch(bundle, registry)
+    [(content_type, body)] = handler.posts
+    assert content_type == "application/json"
+    assert json.loads(body) == bundle.to_dict()
+    assert len(gateway.ledger) == 1
+
+
+def test_http_sink_rejection_leaves_no_ledger_entry(post_server, gateway):
+    url, handler = post_server
+    handler.status = 500
+    with ServiceRegistry() as registry:
+        registry.add("food", HttpSink(url), beneficiary="svc-food")
+        bundle = gateway.pseudonymize(make_pt(text="OT sushi"))[0]
+        with pytest.raises(HTTPError):
+            gateway.dispatch(bundle, registry)
+    assert len(handler.posts) == 1
+    assert len(gateway.ledger) == 0
 
 
 def test_registry_load(tmp_path):
