@@ -16,9 +16,18 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 
 from . import __version__
-from .analyzer import BUILTIN_SPECS, analyze, load_regex_specs, read_rows_csv, write_csv, write_rows
+from .analyzer import (
+    BUILTIN_SPECS,
+    analyze,
+    load_regex_specs,
+    read_rows_csv,
+    sort_rows,
+    write_csv,
+    write_rows,
+)
 from .clock import SystemClock, VirtualClock
 from .crawler import CrawlConfig, run_crawl
 from .firehose import (
@@ -133,13 +142,26 @@ def _process_stage(args, in_dir, out_dir):
     return (process_file(path, gazetteer, out_root=out_dir) for path in find_crawl_files(in_dir))
 
 
-def _analyze_stage(args, records, out_dir) -> list[tuple[str, list, str]]:
-    """Run the builtin and -regex analyses; returns (name, rows, csv path) per table."""
+def _analyze_stage(args, record_files, out_dir) -> list[tuple[str, list, str]]:
+    """Run the builtin and -regex analyses; returns (name, rows, csv path) per table.
+
+    record_files yields one file's records at a time. Each is analyzed and
+    dropped before the next is read; the counts add up across files and
+    every table is sorted once at the end.
+    """
     specs = list(BUILTIN_SPECS)
     if args.regex:
         specs.extend(load_regex_specs(args.regex))
-    results = analyze(records, specs)
-    return [(name, rows, write_csv(name, rows, out_dir)) for name, rows in results.items()]
+    totals: dict[str, Counter] = {spec.name: Counter() for spec in specs}
+    for records in record_files:
+        for name, rows in analyze(records, specs).items():
+            totals[name].update({row.key: row.count for row in rows})
+        del records  # release this file before the next one is processed
+    tables = []
+    for name, counts in totals.items():
+        rows = sort_rows(counts)
+        tables.append((name, rows, write_csv(name, rows, out_dir)))
+    return tables
 
 
 def _prune_stage(rows, cfg: PruneConfig, out_path) -> list:
@@ -163,11 +185,9 @@ def cmd_process(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    records = []
-    for path in args.in_files:
-        records.extend(read_processed_file(path))
+    record_files = (read_processed_file(path) for path in args.in_files)
     out_dir = args.out or os.path.join(args.data_dir, "analysis")
-    for name, rows, path in _analyze_stage(args, records, out_dir):
+    for name, rows, path in _analyze_stage(args, record_files, out_dir):
         print(f"{name}: {len(rows)} keys -> {path}")
     return 0
 
@@ -230,16 +250,19 @@ def cmd_pipeline(args) -> int:
         stats = run_crawl(cfg, clock)
     print(f"crawl: {stats.requests} requests, {stats.tweets_kept} records kept")
 
-    records = []
-    files = 0
-    for file_records, _skipped in _process_stage(args, args.data_dir, args.data_dir):
-        files += 1
-        records.extend(file_records)
-    print(f"process: {files} files, {len(records)} records")
+    processed = Counter()
+
+    def record_files():
+        for records, _skipped in _process_stage(args, args.data_dir, args.data_dir):
+            processed["files"] += 1
+            processed["records"] += len(records)
+            yield records
+            del records  # release this file before the next one is processed
 
     analysis_dir = os.path.join(args.data_dir, "analysis")
     pruned_dir = os.path.join(args.data_dir, "pruned")
-    tables = _analyze_stage(args, records, analysis_dir)
+    tables = _analyze_stage(args, record_files(), analysis_dir)
+    print(f"process: {processed['files']} files, {processed['records']} records")
     os.makedirs(pruned_dir, exist_ok=True)
     cfg_prune = PruneConfig(limit=args.limit)
     for name, rows, _path in tables:

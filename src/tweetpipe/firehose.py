@@ -44,6 +44,11 @@ DEFAULT_APP_SECRET = "demo-secret"
 SEARCH_PATH = "/1.1/search/tweets.json"
 RATE_STATUS_PATH = "/rate_limit_status"
 
+# serve_forever notices a shutdown request only between polls, so stop()
+# can wait this long; the 0.5 s default is a visible share of a short
+# pipeline run.
+SHUTDOWN_POLL_S = 0.05
+
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -422,7 +427,8 @@ class MockFirehoseServer:
     def start(self) -> "MockFirehoseServer":
         handler = type("BoundHandler", (_Handler,), {"engine": self.engine})
         self._httpd = ThreadingHTTPServer((self._host, self._port), handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        args=(SHUTDOWN_POLL_S,), daemon=True)
         self._thread.start()
         log.info("mock api listening on %s", self.url)
         return self

@@ -15,7 +15,6 @@ import logging
 import os
 import re
 import secrets
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from urllib.request import Request, urlopen
@@ -156,7 +155,8 @@ class Vault:
     replaying it rebuilds the live mapping, so erased bindings stay
     unreadable forever while the history remains auditable. Codes come
     from a cryptographically strong source unless a seeded generator is
-    injected for reproducible runs.
+    injected for reproducible runs. One thread owns a vault; it takes no
+    lock.
     """
 
     def __init__(self, path, rng=None, clock=None):
@@ -165,7 +165,6 @@ class Vault:
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
-        self._lock = threading.Lock()
         self._load()
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
@@ -232,32 +231,30 @@ class Vault:
         """
         if not user_key:
             raise ValueError("user_key must be non-empty")
-        with self._lock:
-            existing = self._by_key.get(user_key)
-            if existing is not None:
-                return existing
-            avoid = tuple(
-                i.lower() for i in identifiers if len(i) >= SCRUB_MIN_LENGTH
-            )
-            code = self._mint_code(avoid)
-            created_at = self._clock.now_ms()
-            self._append(
-                {"op": "bind", "user_key": user_key, "code": code, "created_at": created_at}
-            )
-            self._by_key[user_key] = code
-            self._by_code[code] = user_key
-            return code
+        existing = self._by_key.get(user_key)
+        if existing is not None:
+            return existing
+        avoid = tuple(
+            i.lower() for i in identifiers if len(i) >= SCRUB_MIN_LENGTH
+        )
+        code = self._mint_code(avoid)
+        created_at = self._clock.now_ms()
+        self._append(
+            {"op": "bind", "user_key": user_key, "code": code, "created_at": created_at}
+        )
+        self._by_key[user_key] = code
+        self._by_code[code] = user_key
+        return code
 
     def erase(self, user_key: str) -> str:
         """Tombstone the binding; returns the code that was bound."""
-        with self._lock:
-            code = self._by_key.get(user_key)
-            if code is None:
-                raise UnknownUserError(user_key)
-            self._append({"op": "erase", "code": code, "at": self._clock.now_ms()})
-            del self._by_key[user_key]
-            del self._by_code[code]
-            return code
+        code = self._by_key.get(user_key)
+        if code is None:
+            raise UnknownUserError(user_key)
+        self._append({"op": "erase", "code": code, "at": self._clock.now_ms()})
+        del self._by_key[user_key]
+        del self._by_code[code]
+        return code
 
     def user_for(self, code: str) -> str:
         user_key = self._by_code.get(code)

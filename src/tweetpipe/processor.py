@@ -18,8 +18,9 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+from json.encoder import encode_basestring
 
 from .codec import (
     KIND_PROCESSED,
@@ -58,6 +59,18 @@ class _Term:
     entry_order: int
 
 
+def _case_key(text: str) -> str:
+    """Case key that is equal for any two strings re.IGNORECASE equates.
+
+    re compares characters by their simple lowercase, and also equates
+    lowercase letters that share an uppercase (s and long s, i and dotless
+    i). Lowercasing and then uppercasing gives each such class one key,
+    character by character. 'İ' is replaced first: str.lower() turns it into 'i' plus a combining
+    dot, where re's simple lowercase is 'i'.
+    """
+    return text.replace("\u0130", "i").lower().upper()
+
+
 class Gazetteer:
     """Prepared lookup structure over a sequence of GazetteerEntry.
 
@@ -65,6 +78,12 @@ class Gazetteer:
     longest matched string first, then earliest occurrence, then country
     terms before city terms, then gazetteer order. Duplicate aliases keep
     their first binding.
+
+    A term regex can only match where no word character precedes it, so
+    the terms are indexed by the case key of their first characters (two,
+    or one if some term is that short) and a lookup probes the index only
+    at those positions. Each term found there is checked exactly as a scan
+    over all terms checks it, so the answer is the same.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
@@ -78,27 +97,29 @@ class Gazetteer:
                 key = alias.lower()
                 if key and key not in terms:
                     terms[key] = _Term(alias, False, entry.country, entry.city, order)
-        self._prepared = [
-            (
-                t.text.lower(),
-                re.compile(r"(?<!\w)" + re.escape(t.text) + r"(?!\w)", re.IGNORECASE),
-                t,
-            )
-            for t in sorted(terms.values(), key=lambda t: -len(t.text))
-        ]
+        prefix = min(2, min((len(t.text) for t in terms.values()), default=1))
+        # findall yields the `prefix` characters (fewer at the end) at each
+        # position no word character precedes.
+        self._starts = re.compile(rf"(?<!\w)(?=(.{{1,{prefix}}}))", re.DOTALL)
+        self._index: dict[str, list[tuple[str, re.Pattern, _Term]]] = {}
+        for t in sorted(terms.values(), key=lambda t: -len(t.text)):
+            pattern = re.compile(r"(?<!\w)" + re.escape(t.text) + r"(?!\w)", re.IGNORECASE)
+            self._index.setdefault(_case_key(t.text[:prefix]), []).append(
+                (t.text.lower(), pattern, t))
 
     def lookup(self, free_text: str) -> tuple[str | None, str | None]:
         lowered = free_text.lower()
         best: tuple | None = None
-        for lower_text, pattern, term in self._prepared:
-            if lower_text not in lowered:  # cheap prefilter before the regex
-                continue
-            m = pattern.search(free_text)
-            if m is None:
-                continue
-            rank = (-len(term.text), m.start(), 0 if term.is_country else 1, term.entry_order)
-            if best is None or rank < best[0]:
-                best = (rank, term)
+        for start in self._starts.findall(free_text):
+            for lower_text, pattern, term in self._index.get(_case_key(start), ()):
+                if lower_text not in lowered:  # cheap prefilter before the regex
+                    continue
+                m = pattern.search(free_text)
+                if m is None:
+                    continue
+                rank = (-len(term.text), m.start(), 0 if term.is_country else 1, term.entry_order)
+                if best is None or rank < best[0]:
+                    best = (rank, term)
         if best is None:
             return None, None
         term = best[1]
@@ -169,6 +190,30 @@ class ProcessedTweet:
         return cls(*record.fields(), country=country, city=city)
 
 
+# One record as json.dump(..., ensure_ascii=False, indent=2) lays it out
+# inside the array, with a {} slot per field value in field order.
+_RECORD_JSON = "  {{\n" + ",\n".join(
+    f"    {encode_basestring(f.name)}: {{}}" for f in fields(ProcessedTweet)
+) + "\n  }}"
+
+
+def write_processed(records, fh) -> None:
+    """Write records as a JSON array plus a newline, one record per write.
+
+    The text is byte for byte what json.dump(..., ensure_ascii=False,
+    indent=2) writes for the records' field dicts, but each string goes
+    through json's C encoder in one call, where indent= would fall back to
+    json's pure-Python encoder and write in small pieces.
+    """
+    sep = "[\n"
+    for r in records:
+        # vars() is the field dict in field order; every value is a str or None.
+        fh.write(sep + _RECORD_JSON.format(
+            *["null" if v is None else encode_basestring(v) for v in vars(r).values()]))
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
 def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[ProcessedTweet], int]:
     """Process one crawl file; returns (records, skipped line count).
 
@@ -197,10 +242,7 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     out_path = processed_file_path(out_loc, root=out_root)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        # vars() is the field dict in field order; dataclasses.asdict would
-        # deep-copy every record at over a hundred times the cost.
-        json.dump([vars(r) for r in records], fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        write_processed(records, fh)
     log.info("processed %s: %d records, %d skipped -> %s",
              in_path, len(records), skipped, out_path)
     return records, skipped

@@ -5,12 +5,15 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+import tweetpipe.cli
+from tweetpipe.analyzer import BUILTIN_SPECS, analyze, load_regex_specs, write_csv
 from tweetpipe.cli import main, parse_bool, parse_duration_ms
 from tweetpipe.gateway import CATEGORIES
-from tweetpipe.processor import ProcessedTweet
+from tweetpipe.processor import ProcessedTweet, read_processed_file
 
 
 # ----------------------------------------------------------------- parsing
@@ -124,10 +127,11 @@ def test_pipeline_honors_regex_specs(tmp_path, capsys):
     assert (data / "analysis" / "greets.csv").exists()
 
 
-def test_pipeline_matches_the_stage_commands(tmp_path, capsys):
+def assert_pipeline_matches_the_stage_commands(tmp_path, *clock_args):
     piped = tmp_path / "piped"
     staged = tmp_path / "staged"
-    assert main(["--data-dir", str(piped), "--seed", "7", "pipeline", "--duration", "2m"]) == 0
+    assert main(["--data-dir", str(piped), "--seed", "7", *clock_args,
+                 "pipeline", "--duration", "2m"]) == 0
     shutil.copytree(piped / "01-01-1970", staged / "01-01-1970")
     assert main(["--data-dir", str(staged), "process"]) == 0
     processed = sorted(str(p) for p in staged.glob("*.json"))
@@ -136,7 +140,6 @@ def test_pipeline_matches_the_stage_commands(tmp_path, capsys):
     (staged / "pruned").mkdir()
     for table in sorted((staged / "analysis").glob("*.csv")):
         assert main(["prune", "--in", str(table), "--out", str(staged / "pruned" / table.name)]) == 0
-    capsys.readouterr()
 
     def files(root):
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -144,6 +147,58 @@ def test_pipeline_matches_the_stage_commands(tmp_path, capsys):
     piped_files = files(piped)
     assert any(name.startswith("pruned/") for name in piped_files)
     assert files(staged) == piped_files
+    return processed
+
+
+def test_pipeline_matches_the_stage_commands(tmp_path, capsys):
+    assert_pipeline_matches_the_stage_commands(tmp_path)
+
+
+def test_pipeline_matches_the_stage_commands_across_an_hour(tmp_path, capsys):
+    # One minute before 01:00, so the crawl writes two hour-files and the
+    # pipeline adds up two files' counts.
+    processed = assert_pipeline_matches_the_stage_commands(tmp_path, "--virtual-clock", "3540000")
+    assert len(processed) == 2
+
+
+def test_pipeline_holds_one_hour_file_of_records_at_a_time(tmp_path, capsys, monkeypatch):
+    real_process_file = tweetpipe.cli.process_file
+    earlier: list[weakref.ref] = []
+    alive_at_call: list[int] = []
+
+    def process_file(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in earlier))
+        records, skipped = real_process_file(*args, **kwargs)
+        earlier.extend(weakref.ref(r) for r in records)
+        return records, skipped
+
+    monkeypatch.setattr(tweetpipe.cli, "process_file", process_file)
+    assert main(["--data-dir", str(tmp_path), "--seed", "7",
+                 "pipeline", "--duration", "3h", "--interval-ms", "600000"]) == 0
+    assert "process: 3 files" in capsys.readouterr().out
+    assert len(alive_at_call) == 3 and earlier
+    # Every earlier file's records are gone when the next file is processed.
+    assert alive_at_call == [0, 0, 0]
+
+
+def test_analyze_cli_adds_up_several_files(tmp_path, capsys):
+    assert main(["--data-dir", str(tmp_path / "data"), "--seed", "7", "--virtual-clock", "3540000",
+                 "pipeline", "--duration", "3m"]) == 0
+    paths = sorted(str(p) for p in (tmp_path / "data").glob("*.json"))
+    assert len(paths) == 2
+    spec_file = tmp_path / "extra.txt"
+    spec_file.write_text("greets: (?i)hello\nwords: \\b[a-z]{5}\\b\n", encoding="utf-8")
+    out = tmp_path / "per_file"
+    assert main(["analyze", "--in", *paths, "--out", str(out), "-regex", str(spec_file)]) == 0
+
+    whole = tmp_path / "whole"
+    records = [r for path in paths for r in read_processed_file(path)]
+    results = analyze(records, [*BUILTIN_SPECS, *load_regex_specs(spec_file)])
+    for name, rows in results.items():
+        write_csv(name, rows, whole)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in whole.iterdir())
+    for table in whole.iterdir():
+        assert (out / table.name).read_bytes() == table.read_bytes()
 
 
 # ------------------------------------------------------- crawl via binary

@@ -1,8 +1,11 @@
 """Location detection and processed-file tests."""
 
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetpipe.codec import TweetRecord, encode_record
 from tweetpipe.processor import (
@@ -15,6 +18,7 @@ from tweetpipe.processor import (
     load_gazetteer,
     process_file,
     read_processed_file,
+    write_processed,
 )
 
 WORLD = default_gazetteer()
@@ -74,6 +78,128 @@ def test_duplicate_aliases_keep_first_binding():
         GazetteerEntry(city="Beta", country="Yland", aliases=("twin",)),
     ]
     assert detect_location("twin", Gazetteer(entries)) == ("Xland", "Alpha")
+
+
+# ------------------------------------------------- indexed lookup vs scan
+
+
+class ReferenceGazetteer:
+    """The linear scan the index replaced, kept as the reference.
+
+    Every term is tried, longest first: a str.lower() substring prefilter,
+    then its word-bounded case-insensitive regex. The prefilter and the
+    regex disagree on some non-ASCII text ('İ'.lower() is two characters,
+    re equates 'ſ' with 's'); the reference pins today's answers there.
+    """
+
+    def __init__(self, entries):
+        terms = {}
+        for order, entry in enumerate(entries):
+            if entry.country.lower() not in terms:
+                terms[entry.country.lower()] = (entry.country, True, entry.country, None, order)
+            for alias in (entry.city, *entry.aliases):
+                if alias.lower() and alias.lower() not in terms:
+                    terms[alias.lower()] = (alias, False, entry.country, entry.city, order)
+        self.prepared = [
+            (text.lower(),
+             re.compile(r"(?<!\w)" + re.escape(text) + r"(?!\w)", re.IGNORECASE),
+             (text, is_country, country, city, order))
+            for text, is_country, country, city, order in sorted(
+                terms.values(), key=lambda t: -len(t[0]))
+        ]
+
+    def lookup(self, free_text):
+        lowered = free_text.lower()
+        best = None
+        for lower_text, pattern, term in self.prepared:
+            if lower_text not in lowered:
+                continue
+            m = pattern.search(free_text)
+            if m is None:
+                continue
+            text, is_country, country, city, order = term
+            rank = (-len(text), m.start(), 0 if is_country else 1, order)
+            if best is None or rank < best[0]:
+                best = (rank, (country, city))
+        return (None, None) if best is None else best[1]
+
+
+WORLD_REFERENCE = ReferenceGazetteer(WORLD.entries)
+WORLD_TERMS = sorted({t for e in WORLD.entries for t in (e.country, e.city, *e.aliases)})
+
+# Characters where str.lower() and re.IGNORECASE disagree or that fold to
+# several characters: dotted and dotless i, long s, the Kelvin sign, sharp
+# s, final sigma, a combining mark re equates with iota, a ligature.
+TRICKY = "\u0130\u0131\u017f\u212a\u00df\u1e9e\u03a3\u03c2\u0345\ufb05\ufb06"
+# Examples take milliseconds, but on a loaded machine one can pass the
+# 200 ms default deadline; these properties are about answers, not speed.
+NO_DEADLINE = settings(deadline=None)
+FILLER = st.text(
+    st.one_of(st.sampled_from("abklsfiz _-.,2" + TRICKY),
+              st.characters(categories=("Lu", "Ll", "Lt", "Lo", "Mn", "Nd", "Po", "Zs"))),
+    max_size=6,
+)
+
+
+@st.composite
+def location_texts(draw, terms):
+    """Terms in any case, random words, punctuation, digits, '_' and
+    non-ASCII letters, joined with or without separators."""
+    term = st.sampled_from(terms)
+    pieces = draw(st.lists(st.one_of(
+        term, term.map(str.upper), term.map(str.swapcase), FILLER,
+    ), max_size=6))
+    return draw(st.sampled_from(["", " ", ", ", "_"])).join(pieces)
+
+
+@pytest.mark.parametrize(
+    "free_text,expected",
+    [
+        ("\u0130stanbul", (None, None)),  # 'İ'.lower() is two characters
+        ("\u0130stanbul istanbul", ("Turkey", "Istanbul")),
+        # The prefilter passes on a match inside a word; the regex hit is the
+        # word whose first letter str.lower() and re fold differently.
+        ("xistanbul \u0130stanbul", ("Turkey", "Istanbul")),
+        ("xsf \u017ff", ("United States", "San Francisco")),
+        ("xkl \u212aL", ("Malaysia", "Kuala Lumpur")),
+        ("la_la", (None, None)),
+        ("LA2", (None, None)),
+        ("la", ("United States", "Los Angeles")),
+        ("KL", ("Malaysia", "Kuala Lumpur")),
+        ("\u212aL", ("Malaysia", "Kuala Lumpur")),  # Kelvin sign lowercases to k
+        ("sf", ("United States", "San Francisco")),
+        ("\u017ff", (None, None)),  # long s: re matches, the lower() prefilter does not
+        ("\u017ff la sf", ("United States", "San Francisco")),  # ...but then its regex hit counts
+        ("LA SF", ("United States", "Los Angeles")),
+        ("Z\u00dcRICH", ("Switzerland", "Zurich")),
+    ],
+)
+def test_lookup_edge_cases_keep_the_reference_answer(free_text, expected):
+    assert WORLD_REFERENCE.lookup(free_text) == expected
+    assert WORLD.lookup(free_text) == expected
+
+
+@NO_DEADLINE
+@given(location_texts(WORLD_TERMS))
+def test_indexed_lookup_matches_the_scan(free_text):
+    assert WORLD.lookup(free_text) == WORLD_REFERENCE.lookup(free_text)
+
+
+SHORT_TERMS = ["k", "K", "\u212a", "s", "\u017f", "\u0130", "i", "_", "-", "ab", "\u00df", "x-y"]
+
+
+@NO_DEADLINE
+@given(st.data())
+def test_indexed_lookup_matches_the_scan_on_short_terms(data):
+    # One-character terms shrink the index key to one character.
+    names = st.sampled_from(SHORT_TERMS)
+    entries = data.draw(st.lists(st.builds(
+        lambda city, country, aliases: GazetteerEntry(city, country, tuple(aliases)),
+        names, names, st.lists(names, max_size=2),
+    ), min_size=1, max_size=4))
+    terms = sorted({t for e in entries for t in (e.country, e.city, *e.aliases)})
+    text = data.draw(location_texts(terms))
+    assert Gazetteer(entries).lookup(text) == ReferenceGazetteer(entries).lookup(text)
 
 
 def test_entry_validation():
@@ -211,6 +337,41 @@ def test_dict_round_trip_keeps_nulls(tmp_path):
     (d,) = json.loads(out_path.read_text(encoding="utf-8"))
     assert d["country"] is None and d["city"] is None
     assert read_processed_file(out_path) == records
+
+
+# Quotes, backslashes, control characters, U+2028/U+2029, the field
+# delimiter and a non-BMP character, besides any text at all.
+FIELD_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+                              "\u2029", "<8>", "\U0001f600", "\u00e9", " "]),
+             max_size=6).map("".join),
+)
+
+
+@st.composite
+def processed_tweets(draw):
+    country = draw(st.none() | FIELD_TEXT)
+    city = None if country is None else draw(st.none() | FIELD_TEXT)
+    return ProcessedTweet(*(draw(FIELD_TEXT) for _ in range(7)), country=country, city=city)
+
+
+@NO_DEADLINE
+@given(st.lists(processed_tweets(), max_size=4))
+def test_write_processed_matches_json_dump(records):
+    out = io.StringIO()
+    write_processed(records, out)
+    expected = json.dumps([vars(r) for r in records], ensure_ascii=False, indent=2) + "\n"
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("lines", [[], ["only<8>three<8>fields", "garbage"]])
+def test_process_file_without_records_writes_an_empty_array(tmp_path, lines):
+    in_path = write_crawl_file(tmp_path, lines)
+    records, skipped = process_file(in_path, WORLD, out_root=str(tmp_path))
+    assert (records, skipped) == ([], len(lines))
+    out_path = tmp_path / "09-08-2019-tweets-06 AM.json"
+    assert out_path.read_bytes() == b"[]\n"
 
 
 def test_find_crawl_files(tmp_path):
