@@ -20,7 +20,7 @@ from importlib import resources
 from urllib.request import Request, urlopen
 
 from .clock import SystemClock
-from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger
+from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger, JsonLinesLog
 from .processor import ProcessedTweet
 
 log = logging.getLogger(__name__)
@@ -148,59 +148,36 @@ def user_key_for(username: str, user_id: str) -> str:
     return f"{username}:{user_id}"
 
 
-class Vault:
+class Vault(JsonLinesLog):
     """Append-only pseudonym store with an in-memory index.
 
-    The file holds bind and erase operations, one JSON object per line;
-    replaying it rebuilds the live mapping, so erased bindings stay
-    unreadable forever while the history remains auditable. Codes come
-    from a cryptographically strong source unless a seeded generator is
-    injected for reproducible runs. One thread owns a vault; it takes no
-    lock.
+    The file is a JsonLinesLog of bind and erase operations; replaying it
+    rebuilds the live mapping, so erased bindings stay unreadable forever
+    while the history remains auditable. erase fsyncs its tombstone before
+    it returns; new bindings wait for sync(), which the gateway calls
+    before the first disclosure cites them. Codes come from a
+    cryptographically strong source unless a seeded generator is injected
+    for reproducible runs. One thread owns a vault; it takes no lock.
     """
 
+    error = VaultError
+
     def __init__(self, path, rng=None, clock=None):
-        self.path = str(path)
+        super().__init__(path)
         self._rng = rng
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
-        self._load()
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for line_num, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    op = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise VaultError(f"{self.path}:{line_num}: corrupt vault line: {exc}")
-                if op.get("op") == "bind":
-                    self._by_key[op["user_key"]] = op["code"]
-                    self._by_code[op["code"]] = op["user_key"]
-                elif op.get("op") == "erase":
-                    user_key = self._by_code.pop(op["code"], None)
-                    if user_key is None:
-                        raise VaultError(f"{self.path}:{line_num}: erase of unknown code")
-                    del self._by_key[user_key]
-                else:
-                    raise VaultError(f"{self.path}:{line_num}: unknown vault op {op.get('op')!r}")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "Vault":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        for line_num, op in self._replay():
+            kind, code, user_key = op.get("op"), op.get("code"), op.get("user_key")
+            if kind == "bind" and isinstance(code, str) and isinstance(user_key, str):
+                self._by_key[user_key] = code
+                self._by_code[code] = user_key
+            elif kind == "erase" and isinstance(code, str) and code in self._by_code:
+                del self._by_key[self._by_code.pop(code)]
+            else:
+                raise self._error_at(line_num, f"vault op {kind!r} is neither a bind of a code "
+                                     "to a user_key nor the erase of a bound code")
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -217,10 +194,6 @@ class Vault:
                 continue
             return code
         raise VaultError("could not mint a collision-free code")
-
-    def _append(self, op: dict) -> None:
-        self._fh.write(json.dumps(op, ensure_ascii=False) + "\n")
-        self._fh.flush()
 
     def register(self, user_key: str, identifiers=()) -> str:
         """Bind user_key to a fresh code, or return the existing one.
@@ -247,11 +220,12 @@ class Vault:
         return code
 
     def erase(self, user_key: str) -> str:
-        """Tombstone the binding; returns the code that was bound."""
+        """Tombstone the binding durably; returns the code that was bound."""
         code = self._by_key.get(user_key)
         if code is None:
             raise UnknownUserError(user_key)
         self._append({"op": "erase", "code": code, "at": self._clock.now_ms()})
+        self.sync()
         del self._by_key[user_key]
         del self._by_code[code]
         return code
@@ -321,7 +295,7 @@ class CategoryRules:
         return matched or [DEFAULT_CATEGORY]
 
 
-class DirectorySink:
+class DirectorySink(JsonLinesLog):
     """Delivers bundles by appending JSON lines under a directory.
 
     bundles.jsonl is opened on the first delivery and stays open until
@@ -330,21 +304,10 @@ class DirectorySink:
     """
 
     def __init__(self, directory):
-        self.directory = str(directory)
-        self._fh = None
+        super().__init__(os.path.join(directory, "bundles.jsonl"))
 
     def deliver(self, bundle: CategoryBundle) -> None:
-        if self._fh is None:
-            os.makedirs(self.directory, exist_ok=True)
-            path = os.path.join(self.directory, "bundles.jsonl")
-            self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        self._fh.write(json.dumps(bundle.to_dict(), ensure_ascii=False) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._append(bundle.to_dict())
 
 
 class HttpSink:
@@ -547,10 +510,12 @@ class PrivacyGateway:
 
         Every author is registered before the first bundle leaves, so a
         mention of a user whose own tweet comes later in the feed is
-        scrubbed too.
+        scrubbed too, and the new bindings are fsynced before any
+        disclosure cites them.
         """
         for t in records:
             self._register_author(t)
+        self.vault.sync()
         dispatched = 0
         for t in records:
             for bundle in self.pseudonymize(t):

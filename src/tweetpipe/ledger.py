@@ -1,4 +1,4 @@
-"""Append-only compliance ledger.
+"""Append-only compliance ledger, and the JSON-lines log under it and the vault.
 
 Every data handover, erasure, consent and breach notification is one
 JSON object on its own line, numbered by a gapless sequence that
@@ -11,10 +11,13 @@ review).
 from __future__ import annotations
 
 import json
+import logging
 import os
 from datetime import datetime, timezone
 
 from .clock import SystemClock
+
+log = logging.getLogger(__name__)
 
 EVENT_DISCLOSURE = "disclosure"
 EVENT_ERASURE = "erasure"
@@ -33,62 +36,112 @@ def iso_utc(ts_ms: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-class ComplianceLedger:
-    """Durable audit log with per-event validation.
+class JsonLinesLog:
+    """Append-only file of JSON objects, one per line, opened on the first append.
 
-    Records are flushed and fsynced before `record` returns (set
-    fsync=False to trade durability for bulk speed). On open, an
-    existing file is replayed to resume the sequence gaplessly.
+    The newline commits a line. Replay skips a final line without one,
+    with one warning giving path and byte offset but no content, and the
+    first append cuts the file back to that offset; a read-only user
+    changes nothing. Any other line that is not a JSON object raises the
+    class's `error` with path:line. Appends are flushed; sync() fsyncs.
     """
 
-    def __init__(self, path, clock=None, fsync: bool = True):
-        self.path = str(path)
-        self._clock = clock or SystemClock()
-        self._fsync = fsync
-        self._entries: list[dict] = []
-        # iso_utc has one-second resolution, so entries written within the
-        # same second share one rendering.
-        self._at_second: int | None = None
-        self._at = ""
-        self._load()
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
+    error: type[Exception] = ValueError
 
-    def _load(self) -> None:
+    def __init__(self, path):
+        self.path = str(path)
+        self._fh = None
+        self._torn_at: int | None = None
+
+    def _error_at(self, line_num: int, message: str) -> Exception:
+        return self.error(f"{self.path}:{line_num}: {message}")
+
+    def _replay(self, needle: bytes = b""):
+        """Yield (line_num, obj) for each committed line containing needle;
+        blocks of whole lines and lines without it are skipped unparsed."""
         if not os.path.exists(self.path):
             return
-        with open(self.path, encoding="utf-8") as fh:
-            for line_num, line in enumerate(fh, start=1):
-                if not line.strip():
+        line_num, committed, rest = 0, 0, b""
+        with open(self.path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                block = rest + chunk
+                end = block.rfind(b"\n") + 1
+                block, rest = block[:end], block[end:]
+                committed += end
+                if needle not in block:
+                    line_num += block.count(b"\n")
                     continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"{self.path}:{line_num}: corrupt entry: {exc}")
-                if entry.get("seq") != len(self._entries) + 1:
-                    raise ValidationError(
-                        f"{self.path}:{line_num}: sequence gap "
-                        f"(expected {len(self._entries) + 1}, found {entry.get('seq')})"
-                    )
-                self._entries.append(entry)
+                for line in block.split(b"\n")[:-1]:
+                    line_num += 1
+                    if needle not in line or not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line.decode("utf-8"))
+                    except ValueError as exc:
+                        raise self._error_at(line_num, f"corrupt line: {exc}")
+                    if not isinstance(obj, dict):
+                        raise self._error_at(line_num, "line is not a JSON object")
+                    yield line_num, obj
+        if rest and self._torn_at != committed:
+            log.warning("%s: skipping a torn final line at byte %d", self.path, committed)
+            self._torn_at = committed
+
+    def _append(self, obj: dict) -> None:
+        if self._fh is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._fh = open(self.path, "ab")
+            if self._torn_at is not None:
+                self._fh.truncate(self._torn_at)
+                self._torn_at = None
+        self._fh.write((json.dumps(obj, ensure_ascii=False) + "\n").encode())
+        self._fh.flush()
+
+    def sync(self) -> None:
+        """fsync every append so far; nothing to do before the first."""
+        if self._fh is not None:
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "ComplianceLedger":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __len__(self) -> int:
-        return len(self._entries)
 
-    def entries(self) -> list[dict]:
-        """Snapshot of all entries, oldest first."""
-        return [dict(e) for e in self._entries]
+class ComplianceLedger(JsonLinesLog):
+    """Durable audit log with per-event validation.
+
+    Records are flushed and fsynced before `record` returns (set
+    fsync=False to trade durability for bulk speed); a torn final entry
+    is cut as JsonLinesLog describes. On open, an existing file is
+    replayed once to resume the sequence gaplessly. No entry stays in
+    memory: reports stream the file again.
+    """
+
+    error = ValidationError
+
+    def __init__(self, path, clock=None, fsync: bool = True):
+        super().__init__(path)
+        self._clock = clock or SystemClock()
+        self._fsync = fsync
+        # iso_utc has one-second resolution, so entries written within the
+        # same second share one rendering.
+        self._at_second: int | None = None
+        self._at = ""
+        self._seq = 0  # of the last entry
+        for line_num, entry in self._replay():
+            if entry.get("seq") != self._seq + 1:
+                raise self._error_at(
+                    line_num, f"sequence gap (expected {self._seq + 1}, found {entry.get('seq')})")
+            self._seq += 1
+
+    def __len__(self) -> int:
+        return self._seq
 
     def record(
         self,
@@ -126,7 +179,7 @@ class ComplianceLedger:
             raise ValidationError("minor flag is only valid on consent entries")
 
         entry = {
-            "seq": len(self._entries) + 1,
+            "seq": self._seq + 1,
             "event": event,
             "subject_code": subject_code,
             "beneficiary": beneficiary,
@@ -136,12 +189,11 @@ class ComplianceLedger:
         }
         if minor is not None:
             entry["minor"] = bool(minor)
-        self._fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        self._fh.flush()
+        self._append(entry)
         if self._fsync:
-            os.fsync(self._fh.fileno())
-        self._entries.append(entry)
-        return entry["seq"]
+            self.sync()
+        self._seq += 1
+        return self._seq
 
     def _iso_now(self) -> str:
         second = self._clock.now_ms() // 1000
@@ -159,38 +211,21 @@ class ComplianceLedger:
 
     def transparency_report(self, code: str) -> str:
         """Human-readable account of everything logged about a code."""
-        disclosures: list[str] = []
-        erasures: list[str] = []
-        consents: list[str] = []
-        breaches: list[str] = []
-        for e in self._entries:
-            if e["subject_code"] != code:
+        found: dict[str, list[str]] = {event: [] for event in EVENTS}
+        for _line_num, e in self._replay(json.dumps(code, ensure_ascii=False).encode()):
+            if e["subject_code"] != code or e["event"] not in found:
                 continue
             if e["event"] == EVENT_DISCLOSURE:
-                disclosures.append(
-                    f"  - {e['at']}: shared with {e['beneficiary']} for {e['purpose']}, "
-                    f"retention {e['retention_days']} days (entry {e['seq']})"
-                )
-            elif e["event"] == EVENT_ERASURE:
-                erasures.append(f"  - {e['at']}: binding erased (entry {e['seq']})")
+                what = (f"shared with {e['beneficiary']} for {e['purpose']}, "
+                        f"retention {e['retention_days']} days")
             elif e["event"] == EVENT_CONSENT:
-                detail = f" for {e['purpose']}" if e.get("purpose") else ""
+                what = "consent recorded" + (f" for {e['purpose']}" if e.get("purpose") else "")
                 if e.get("minor"):
-                    detail += " (minor account)"
-                consents.append(f"  - {e['at']}: consent recorded{detail} (entry {e['seq']})")
-            elif e["event"] == EVENT_BREACH:
-                breaches.append(f"  - {e['at']}: breach notification (entry {e['seq']})")
-
-        def section(title: str, lines: list[str]) -> str:
-            body = "\n".join(lines) if lines else "  (none)"
-            return f"{title}:\n{body}"
-
-        return "\n".join(
-            [
-                f"Transparency report for {code}",
-                section("Disclosures", disclosures),
-                section("Erasures", erasures),
-                section("Consents", consents),
-                section("Breach notices", breaches),
-            ]
-        ) + "\n"
+                    what += " (minor account)"
+            else:
+                what = "binding erased" if e["event"] == EVENT_ERASURE else "breach notification"
+            found[e["event"]].append(f"  - {e['at']}: {what} (entry {e['seq']})")
+        lines = [f"Transparency report for {code}"]
+        for title, event in zip(("Disclosures", "Erasures", "Consents", "Breach notices"), EVENTS):
+            lines += [f"{title}:", *(found[event] or ["  (none)"])]
+        return "\n".join(lines) + "\n"

@@ -365,3 +365,15 @@ def test_ledger_cli_breach_then_report(tmp_path, capsys):
     assert "breach_notices=1" in out
     assert f"Transparency report for {code}" in out
     assert "breach notification" in out
+
+
+def test_ledger_report_creates_nothing(tmp_path, capsys):
+    data = tmp_path / "missing"
+    code = "cd" * 16
+    assert main(["--data-dir", str(data), "ledger", "report", "--code", code]) == 0
+    assert not data.exists()
+    assert capsys.readouterr().out == (
+        f"Transparency report for {code}\n"
+        "Disclosures:\n  (none)\nErasures:\n  (none)\n"
+        "Consents:\n  (none)\nBreach notices:\n  (none)\n"
+    )

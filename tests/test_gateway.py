@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
@@ -10,6 +12,7 @@ from urllib.error import HTTPError
 import pytest
 from hypothesis import given, strategies as st
 
+import tweetpipe.ledger
 from tweetpipe.clock import VirtualClock
 from tweetpipe.gateway import (
     CATEGORIES,
@@ -40,6 +43,14 @@ from tweetpipe.ledger import ComplianceLedger
 from tweetpipe.processor import ProcessedTweet
 
 T0 = 1_567_888_000_000
+
+
+def read_entries(path):
+    """Every entry in the ledger file, oldest first; none before the first."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def make_pt(text="OT hello there", username="asha_rao", name="Asha Rao",
@@ -203,9 +214,36 @@ def test_vault_file_is_append_only(tmp_path):
 
 def test_vault_rejects_corrupt_history(tmp_path):
     path = tmp_path / "v.jsonl"
-    path.write_text('{"op": "erase", "code": "ff"}\n', encoding="utf-8")
-    with pytest.raises(VaultError):
-        Vault(path)
+    bind = '{"op": "bind", "user_key": "a:1", "code": "aa"}\n'
+    for bad in ('{"op": "erase", "code": "ff"}', "not json", "[1]", "null", '{"op": "bind"}',
+                '{"op": "bind", "code": "bb"}', '{"op": "bind", "user_key": "b:2"}',
+                '{"op": "erase"}', '{"op": "erase", "code": ["aa"]}', '{"op": "rename"}'):
+        path.write_text(bind + bad + "\n" + bind, encoding="utf-8")
+        with pytest.raises(VaultError, match=f"^{re.escape(str(path))}:2: "):
+            Vault(path)
+
+
+def test_torn_final_binding_is_cut_at_every_byte(tmp_path):
+    path = tmp_path / "v.jsonl"
+    with Vault(path) as vault:
+        first = vault.register("asha_rao:1")
+        vault.register("zoë_ñandú:2")
+    data = path.read_bytes()
+    head = data[:data.index(b"\n") + 1]
+    last = data[len(head):]
+    assert len(last.decode("utf-8")) < len(last)  # some cuts split a UTF-8 sequence
+    for cut in range(len(last)):
+        torn = head + last[:cut]
+        path.write_bytes(torn)
+        with Vault(path) as vault:
+            assert path.read_bytes() == torn  # reading leaves the file alone
+            assert vault.code_for("zoë_ñandú:2") is None
+            code = vault.register("bena_kapoor:3")
+            vault.erase("asha_rao:1")
+        with Vault(path) as vault:
+            assert vault.user_for(code) == "bena_kapoor:3"
+            with pytest.raises(UnknownCodeError):
+                vault.user_for(first)
 
 
 def test_binding_records_creation_time(tmp_path):
@@ -436,7 +474,7 @@ def test_dispatch_logs_exactly_one_disclosure(gateway):
     before = len(gateway.ledger)
     receipt = gateway.dispatch(bundle, registry)
     assert len(gateway.ledger) == before + 1
-    entry = gateway.ledger.entries()[-1]
+    entry = read_entries(gateway.ledger.path)[-1]
     assert entry["seq"] == receipt.ledger_seq
     assert entry["event"] == "disclosure"
     assert entry["subject_code"] == bundle.code
@@ -471,7 +509,7 @@ def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeyp
         return len(path.read_text(encoding="utf-8").splitlines()) if path.exists() else 0
 
     def disclosures(beneficiary):
-        return sum(e["beneficiary"] == beneficiary for e in gateway.ledger.entries())
+        return sum(e["beneficiary"] == beneficiary for e in read_entries(gateway.ledger.path))
 
     record = gateway.ledger.record
 
@@ -609,10 +647,45 @@ def test_erase_breaks_remap_and_logs(gateway):
     assert report.code == bundle.code
     with pytest.raises(UnknownCodeError):
         gateway.remap(Recommendation(code=bundle.code, category="food", item="x"))
-    entry = gateway.ledger.entries()[-1]
+    entry = read_entries(gateway.ledger.path)[-1]
     assert entry["event"] == "erasure"
     assert entry["subject_code"] == bundle.code
     assert pt.username not in json.dumps(entry)
+
+
+def test_vault_is_durable_before_the_ledger_cites_it(tmp_path, monkeypatch):
+    vault_path, ledger_path = tmp_path / "vault.jsonl", tmp_path / "ledger.jsonl"
+    real_os = tweetpipe.ledger.os
+    synced = []  # (file, vault lines, ledger lines) at each fsync
+
+    def lines(path):
+        return path.read_bytes().count(b"\n") if path.exists() else 0
+
+    class FsyncSpy:
+        def __getattr__(self, name):
+            return getattr(real_os, name)
+
+        def fsync(self, fd):
+            is_vault = real_os.path.samestat(real_os.fstat(fd), real_os.stat(vault_path))
+            synced.append(("vault" if is_vault else "ledger", lines(vault_path), lines(ledger_path)))
+            real_os.fsync(fd)
+
+    monkeypatch.setattr(tweetpipe.ledger, "os", FsyncSpy())
+    feed = [make_pt(text="OT sushi", username=f"user{i}", name=f"Name {i}", id=f"{i}")
+            for i in range(3)]
+    with Vault(vault_path, clock=VirtualClock(T0)) as vault, \
+            ComplianceLedger(ledger_path, clock=VirtualClock(T0)) as ledger, \
+            ServiceRegistry() as registry:
+        registry.add("food", DirectorySink(tmp_path / "food"), beneficiary="svc-food")
+        gateway = PrivacyGateway(vault, ledger)
+        assert gateway.dispatch_feed(feed, registry) == 3
+        # one vault fsync for all three bindings, before the first disclosure
+        assert synced == [("vault", 3, 0), ("ledger", 3, 1), ("ledger", 3, 2), ("ledger", 3, 3)]
+        synced.clear()
+        gateway.erase_user(user_key_for("user1", "1"))
+        # the tombstone is on disk before the ledger's erasure entry is written
+        assert synced == [("vault", 4, 3), ("ledger", 4, 4)]
+    assert read_entries(ledger_path)[-1]["event"] == "erasure"
 
 
 def test_erase_unknown_user(gateway):

@@ -1,6 +1,10 @@
 """Compliance ledger tests: validation, gapless sequence, durability."""
 
 import json
+import logging
+import os
+import re
+import tracemalloc
 
 import pytest
 
@@ -25,6 +29,14 @@ def ledger(tmp_path):
     led = ComplianceLedger(tmp_path / "ledger.jsonl", clock=VirtualClock(T0))
     yield led
     led.close()
+
+
+def read_entries(path):
+    """Every entry in the ledger file, oldest first; none before the first."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def disclose(led, code=CODE, beneficiary="svc-food", purpose="recommendation",
@@ -65,7 +77,7 @@ def test_non_disclosures_reject_disclosure_fields(ledger):
 
 def test_consent_may_carry_purpose_and_minor(ledger):
     seq = ledger.record(EVENT_CONSENT, CODE, purpose="analytics", minor=True)
-    entry = ledger.entries()[-1]
+    entry = read_entries(ledger.path)[-1]
     assert (entry["seq"], entry["minor"], entry["purpose"]) == (seq, True, "analytics")
 
 
@@ -113,7 +125,7 @@ def test_sequence_survives_restart(tmp_path):
         disclose(led)
     with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
         assert disclose(led) == 3
-        assert [e["seq"] for e in led.entries()] == [1, 2, 3]
+        assert [e["seq"] for e in read_entries(path)] == [1, 2, 3]
 
 
 def test_file_is_append_only(tmp_path):
@@ -140,9 +152,69 @@ def test_load_rejects_sequence_gaps(tmp_path):
 
 def test_load_rejects_corrupt_lines(tmp_path):
     path = tmp_path / "l.jsonl"
-    path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        ComplianceLedger(path, clock=VirtualClock(T0))
+
+    def line(seq):
+        return json.dumps({"seq": seq, "event": EVENT_ERASURE, "subject_code": CODE}) + "\n"
+
+    # enough entries to fill several read blocks before the bad line
+    head = "".join(line(seq) for seq in range(1, 1000))
+    for bad in ("not json", "[1]", '"entry"', "null", '{"seq": 1000', "\udc80"):
+        for tail in (line(1000), line(1000)[:9]):  # whole, or torn: the bad line still raises
+            path.write_text(head + bad + "\n" + tail, encoding="utf-8",
+                            errors="surrogateescape")
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1000: "):
+                ComplianceLedger(path, clock=VirtualClock(T0))
+
+
+def test_torn_final_entry_is_cut_at_every_byte(tmp_path, caplog):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+        led.record(EVENT_CONSENT, OTHER, purpose="análisis ☃ 😀")
+    data = path.read_bytes()
+    head = data[:data.index(b"\n") + 1]
+    last = data[len(head):]
+    assert len(last.decode("utf-8")) < len(last)  # some cuts split a UTF-8 sequence
+    for cut in range(len(last)):
+        torn = head + last[:cut]
+        path.write_bytes(torn)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tweetpipe.ledger"):
+            with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+                assert len(led) == 1
+                assert "consent recorded" not in led.transparency_report(OTHER)
+                assert path.read_bytes() == torn  # reading leaves the file alone
+                assert disclose(led, OTHER) == 2
+        expected = f"{path}: skipping a torn final line at byte {len(head)}"
+        assert [r.getMessage() for r in caplog.records] == ([expected] if cut else [])
+        with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+            assert disclose(led) == 3
+        assert [(e["seq"], e["event"]) for e in read_entries(path)] == [
+            (1, EVENT_DISCLOSURE), (2, EVENT_DISCLOSURE), (3, EVENT_DISCLOSURE)]
+
+
+def test_open_and_report_keep_no_history_in_memory(tmp_path):
+    def peak(entries):
+        path = tmp_path / f"{entries}.jsonl"
+        path.unlink(missing_ok=True)
+        with ComplianceLedger(path, clock=VirtualClock(T0), fsync=False) as led:
+            for i in range(entries):
+                disclose(led, code=CODE if i % 100 == 0 else f"{i:032x}")
+        tracemalloc.start()
+        try:
+            with ComplianceLedger(path, clock=VirtualClock(T0), fsync=False) as led:
+                report = led.transparency_report(CODE)
+                disclose(led)
+            assert report.count("shared with") == entries // 100
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # first-use allocations
+    small, large = peak(400), peak(1600)
+    # Both files are larger than one read block. Held as dicts, 400 entries
+    # would take some 250 kB; the report's own lines grow by 12.
+    assert large - small < 8_192, (small, large)
 
 
 # ---------------------------------------------------------------- queries
@@ -151,7 +223,7 @@ def test_load_rejects_corrupt_lines(tmp_path):
 def test_record_breach_fans_out(ledger):
     seqs = ledger.record_breach([CODE, OTHER])
     assert seqs == [1, 2]
-    assert [e["event"] for e in ledger.entries()] == [EVENT_BREACH, EVENT_BREACH]
+    assert [e["event"] for e in read_entries(ledger.path)] == [EVENT_BREACH, EVENT_BREACH]
     with pytest.raises(ValidationError):
         ledger.record_breach([])
 
@@ -201,7 +273,7 @@ def test_entries_in_one_second_share_its_timestamp(tmp_path):
             clock.sleep_ms(step_ms)
             led.record(EVENT_BREACH, CODE)
             stamps.append(iso_utc(clock.now_ms()))
-        assert [e["at"] for e in led.entries()] == stamps
+        assert [e["at"] for e in read_entries(led.path)] == stamps
     assert stamps[:4] == ["2019-09-07T20:26:39Z"] + ["2019-09-07T20:26:40Z"] * 3
     assert stamps[-1] == "2019-09-08T21:26:40Z"
 

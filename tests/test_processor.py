@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tweetpipe.codec import TweetRecord, encode_record
 from tweetpipe.processor import (
@@ -131,9 +131,6 @@ WORLD_TERMS = sorted({t for e in WORLD.entries for t in (e.country, e.city, *e.a
 # several characters: dotted and dotless i, long s, the Kelvin sign, sharp
 # s, final sigma, a combining mark re equates with iota, a ligature.
 TRICKY = "\u0130\u0131\u017f\u212a\u00df\u1e9e\u03a3\u03c2\u0345\ufb05\ufb06"
-# Examples take milliseconds, but on a loaded machine one can pass the
-# 200 ms default deadline; these properties are about answers, not speed.
-NO_DEADLINE = settings(deadline=None)
 FILLER = st.text(
     st.one_of(st.sampled_from("abklsfiz _-.,2" + TRICKY),
               st.characters(categories=("Lu", "Ll", "Lt", "Lo", "Mn", "Nd", "Po", "Zs"))),
@@ -179,7 +176,6 @@ def test_lookup_edge_cases_keep_the_reference_answer(free_text, expected):
     assert WORLD.lookup(free_text) == expected
 
 
-@NO_DEADLINE
 @given(location_texts(WORLD_TERMS))
 def test_indexed_lookup_matches_the_scan(free_text):
     assert WORLD.lookup(free_text) == WORLD_REFERENCE.lookup(free_text)
@@ -188,7 +184,6 @@ def test_indexed_lookup_matches_the_scan(free_text):
 SHORT_TERMS = ["k", "K", "\u212a", "s", "\u017f", "\u0130", "i", "_", "-", "ab", "\u00df", "x-y"]
 
 
-@NO_DEADLINE
 @given(st.data())
 def test_indexed_lookup_matches_the_scan_on_short_terms(data):
     # One-character terms shrink the index key to one character.
@@ -356,7 +351,6 @@ def processed_tweets(draw):
     return ProcessedTweet(*(draw(FIELD_TEXT) for _ in range(7)), country=country, city=city)
 
 
-@NO_DEADLINE
 @given(st.lists(processed_tweets(), max_size=4))
 def test_write_processed_matches_json_dump(records):
     out = io.StringIO()
