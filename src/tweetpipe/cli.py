@@ -136,10 +136,15 @@ def _load_gazetteer_arg(args) -> Gazetteer:
 # those names (as bench/tracer.py does) sees every stage call.
 
 
-def _process_stage(args, in_dir, out_dir):
-    """Lazily process each crawl file under in_dir: one (records, skipped) per file."""
+def _process_stage(args, in_dir, out_dir, counts: Counter):
+    """Lazily process each crawl file under in_dir, yielding its records;
+    adds the files, records and skipped lines to counts as it goes."""
     gazetteer = _load_gazetteer_arg(args)
-    return (process_file(path, gazetteer, out_root=out_dir) for path in find_crawl_files(in_dir))
+    for path in find_crawl_files(in_dir):
+        records, skipped = process_file(path, gazetteer, out_root=out_dir)
+        counts.update(files=1, records=len(records), skipped=skipped)
+        yield records
+        del records  # release this file before the next one is processed
 
 
 def _analyze_stage(args, record_files, out_dir) -> list[tuple[str, list, str]]:
@@ -172,15 +177,13 @@ def _prune_stage(rows, cfg: PruneConfig, out_path) -> list:
 
 
 def cmd_process(args) -> int:
-    files = total_records = total_skipped = 0
-    stage = _process_stage(args, args.in_dir or args.data_dir, args.out or args.data_dir)
-    for records, skipped in stage:
-        files += 1
-        total_records += len(records)
-        total_skipped += skipped
-    print(f"files={files}")
-    print(f"records={total_records}")
-    print(f"skipped={total_skipped}")
+    counts = Counter()
+    for records in _process_stage(args, args.in_dir or args.data_dir,
+                                  args.out or args.data_dir, counts):
+        del records  # release this file before the next one is processed
+    print(f"files={counts['files']}")
+    print(f"records={counts['records']}")
+    print(f"skipped={counts['skipped']}")
     return 0
 
 
@@ -251,17 +254,10 @@ def cmd_pipeline(args) -> int:
     print(f"crawl: {stats.requests} requests, {stats.tweets_kept} records kept")
 
     processed = Counter()
-
-    def record_files():
-        for records, _skipped in _process_stage(args, args.data_dir, args.data_dir):
-            processed["files"] += 1
-            processed["records"] += len(records)
-            yield records
-            del records  # release this file before the next one is processed
-
     analysis_dir = os.path.join(args.data_dir, "analysis")
     pruned_dir = os.path.join(args.data_dir, "pruned")
-    tables = _analyze_stage(args, record_files(), analysis_dir)
+    tables = _analyze_stage(
+        args, _process_stage(args, args.data_dir, args.data_dir, processed), analysis_dir)
     print(f"process: {processed['files']} files, {processed['records']} records")
     os.makedirs(pruned_dir, exist_ok=True)
     cfg_prune = PruneConfig(limit=args.limit)

@@ -33,6 +33,7 @@ from .codec import (
 )
 from .firehose import (
     MAX_PAGE_SIZE,
+    RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
     SEARCH_PATH,
     AuthError,
@@ -44,6 +45,9 @@ from .firehose import (
 )
 
 log = logging.getLogger(__name__)
+
+DEDUP_CAPACITY = 10_000_000  # tweet ids a crawl remembers
+SEARCH_TIMEOUT_S = 10.0
 
 
 class FetchError(Exception):
@@ -59,7 +63,6 @@ class CrawlConfig:
     page_count: int = MAX_PAGE_SIZE
     duration_ms: int | None = None
     max_requests: int | None = None
-    dedup_capacity: int = 10_000_000
     out_dir: str = "./data"
 
     def __post_init__(self) -> None:
@@ -69,8 +72,6 @@ class CrawlConfig:
             raise ValueError(f"page_count must be in 1..{MAX_PAGE_SIZE}")
         if self.duration_ms is None and self.max_requests is None:
             raise ValueError("set duration_ms or max_requests, or the crawl never ends")
-        if self.dedup_capacity < 1:
-            raise ValueError("dedup_capacity must be positive")
 
 
 @dataclass
@@ -119,7 +120,7 @@ def throttle(window: RateWindow, now_ms: int) -> int:
     the time left until the window boundary. Never negative.
     """
     window.roll(now_ms)
-    if window.used < window.capacity:
+    if window.used < RATE_LIMIT_CAPACITY:
         return 0
     return max(0, window.reset_at_ms() - now_ms)
 
@@ -179,7 +180,6 @@ class HourlyRecordWriter:
         self.out_dir = out_dir
         self._locator: FileLocator | None = None
         self._fh = None
-        self.paths_written: list[str] = []
 
     def write_page(self, records: list[TweetRecord], fetched_at_ms: int) -> None:
         if not records:
@@ -196,7 +196,6 @@ class HourlyRecordWriter:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
         self._locator = locator
-        self.paths_written.append(path)
         log.debug("writing crawl records to %s", path)
 
     def close(self) -> None:
@@ -222,26 +221,24 @@ class SearchClient:
     never retried here; the crawl loop decides what to do with them.
 
     Pages are fetched over one persistent connection, reopened after a
-    failure or when the server has closed it.
+    failure or when the server has closed it. `window` counts every wire
+    attempt, retries included, as the server charges them.
     """
 
     MAX_RETRIES = 3
     BACKOFF_START_MS = 1000
 
-    def __init__(self, endpoint: str, creds: Credentials, clock,
-                 timeout_s: float = 10.0, on_attempt=None):
+    def __init__(self, endpoint: str, creds: Credentials, clock):
         url = urlsplit(endpoint.rstrip("/") + SEARCH_PATH)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {endpoint!r}")
         connection = (http.client.HTTPSConnection if url.scheme == "https"
                       else http.client.HTTPConnection)
-        self._conn = connection(url.hostname, url.port, timeout=timeout_s)
+        self._conn = connection(url.hostname, url.port, timeout=SEARCH_TIMEOUT_S)
         self._path = url.path
         self._creds = creds
         self._clock = clock
-        # Called with now_ms before each wire attempt; the crawl loop
-        # uses it to charge its window once per attempt, retries included.
-        self._on_attempt = on_attempt
+        self.window = RateWindow()
 
     def close(self) -> None:
         self._conn.close()
@@ -256,8 +253,8 @@ class SearchClient:
         failure: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             now_ms = self._clock.now_ms()
-            if self._on_attempt is not None:
-                self._on_attempt(now_ms)
+            self.window.roll(now_ms)
+            self.window.used += 1
             headers = {
                 "x-app-key": self._creds.app_key,
                 "x-app-secret": self._creds.app_secret,
@@ -279,16 +276,19 @@ class SearchClient:
                 self._conn.close()
                 failure = exc
             else:
-                if resp.status == 200:
-                    page = json.loads(body)
-                    return page.get("statuses", []), page.get("next")
+                page = _json_object(body)
+                statuses = None if page is None else page.get("statuses", [])
+                if resp.status == 200 and isinstance(statuses, list):
+                    return statuses, page.get("next")
+                error = str((page or {}).get("error", resp.reason))
                 if resp.status == 401:
-                    raise AuthError(_body_error(resp, body))
+                    raise AuthError(error)
                 if resp.status == 429:
-                    raise RateLimitError(_reset_at(resp, body, now_ms))
+                    raise RateLimitError(_reset_at(resp, page, now_ms))
                 if resp.status == 400:
-                    raise BadTokenError(_body_error(resp, body))
-                failure = FetchError(f"server returned {resp.status}")
+                    raise BadTokenError(error)
+                # A 200 lands here too when its body is not a search page.
+                failure = FetchError(f"server returned {resp.status} and no search page")
             if attempt < self.MAX_RETRIES:
                 log.warning("search request failed (%s), retrying in %d ms", failure, backoff_ms)
                 self._clock.sleep_ms(backoff_ms)
@@ -296,16 +296,18 @@ class SearchClient:
         raise FetchError(str(failure))
 
 
-def _body_error(resp: http.client.HTTPResponse, body: bytes) -> str:
+def _json_object(body: bytes) -> dict | None:
+    """The body as a JSON object; None if it is not valid JSON or not an object."""
     try:
-        return str(json.loads(body).get("error", resp.reason))
+        obj = json.loads(body)
     except ValueError:
-        return str(resp.reason)
+        return None
+    return obj if isinstance(obj, dict) else None
 
 
-def _reset_at(resp: http.client.HTTPResponse, body: bytes, now_ms: int) -> int:
+def _reset_at(resp: http.client.HTTPResponse, page: dict | None, now_ms: int) -> int:
     try:
-        return int(json.loads(body)["reset_at_ms"])
+        return int(page["reset_at_ms"])
     except (ValueError, KeyError, TypeError):
         pass
     header = resp.getheader("x-rate-limit-reset-ms")
@@ -337,14 +339,8 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
     """
     clock = clock or SystemClock()
     stats = CrawlStats()
-    window = RateWindow()
-    seen = SeenIds(cfg.dedup_capacity)
-
-    def charge(now_ms: int) -> None:
-        window.roll(now_ms)
-        window.used += 1
-
-    client = SearchClient(cfg.endpoint, cfg.creds, clock, on_attempt=charge)
+    seen = SeenIds(DEDUP_CAPACITY)
+    client = SearchClient(cfg.endpoint, cfg.creds, clock)
     next_token: str | None = None
     start_ms = clock.now_ms()
 
@@ -357,7 +353,7 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
                 if cfg.duration_ms is not None and now - start_ms >= cfg.duration_ms:
                     break
 
-                wait = throttle(window, now)
+                wait = throttle(client.window, now)
                 if wait > 0:
                     stats.rate_limit_waits += 1
                     log.info("window exhausted, waiting %d ms", wait)

@@ -79,22 +79,21 @@ class Credentials:
 @dataclass
 class RateWindow:
     """Usage inside one fixed window. Boundaries sit at epoch multiples
-    of span_ms, never at first use, so they are the same for everyone."""
+    of RATE_WINDOW_MS, never at first use, so they are the same for
+    everyone."""
 
     window_start_ms: int = 0
     used: int = 0
-    capacity: int = RATE_LIMIT_CAPACITY
-    span_ms: int = RATE_WINDOW_MS
 
     def roll(self, now_ms: int) -> None:
         """Reset the counter if now_ms falls in a later window."""
-        start = (now_ms // self.span_ms) * self.span_ms
+        start = (now_ms // RATE_WINDOW_MS) * RATE_WINDOW_MS
         if start != self.window_start_ms:
             self.window_start_ms = start
             self.used = 0
 
     def reset_at_ms(self) -> int:
-        return self.window_start_ms + self.span_ms
+        return self.window_start_ms + RATE_WINDOW_MS
 
 
 @dataclass
@@ -272,7 +271,7 @@ class FirehoseEngine:
                 now_ms = SystemClock().now_ms()
             self._check_auth(credentials)
             window = self._window(credentials, now_ms)
-            if window.used >= window.capacity:
+            if window.used >= RATE_LIMIT_CAPACITY:
                 raise RateLimitError(window.reset_at_ms())
             window.used += 1
             if count < 1:
@@ -310,7 +309,7 @@ class FirehoseEngine:
             return ApiPage(
                 tweets=page,
                 next_token=token,
-                remaining=window.capacity - window.used,
+                remaining=RATE_LIMIT_CAPACITY - window.used,
                 reset_at_ms=window.reset_at_ms(),
             )
 
@@ -324,7 +323,7 @@ class FirehoseEngine:
                 now_ms = SystemClock().now_ms()
             self._check_auth(credentials)
             window = self._window(credentials, now_ms)
-            return window.capacity - window.used, window.reset_at_ms()
+            return RATE_LIMIT_CAPACITY - window.used, window.reset_at_ms()
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -50,6 +50,9 @@ CODE_HEX_LENGTH = 32  # 128 bits
 SCRUB_MIN_LENGTH = 4
 SCRUB_REPLACEMENT = "***"
 
+PURPOSE = "recommendation"  # of every disclosure the gateway logs
+SINK_TIMEOUT_S = 10.0
+
 
 class UnknownFieldError(KeyError):
     """Field name outside the processed-record schema."""
@@ -113,14 +116,6 @@ class Recommendation:
     code: str
     category: str
     item: str
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    code: str
-    category: str
-    beneficiary: str
-    ledger_seq: int
 
 
 @dataclass(frozen=True)
@@ -300,7 +295,8 @@ class DirectorySink(JsonLinesLog):
 
     bundles.jsonl is opened on the first delivery and stays open until
     close(); each bundle is flushed before deliver returns, so the line
-    reaches the OS before the gateway writes its ledger entry.
+    reaches the OS before the gateway writes its ledger entry. A torn
+    final line left by a crash is cut on that first delivery.
     """
 
     def __init__(self, directory):
@@ -313,9 +309,8 @@ class DirectorySink(JsonLinesLog):
 class HttpSink:
     """Delivers bundles by POSTing JSON to a service URL."""
 
-    def __init__(self, url: str, timeout_s: float = 10.0):
+    def __init__(self, url: str):
         self.url = url
-        self._timeout_s = timeout_s
 
     def deliver(self, bundle: CategoryBundle) -> None:
         """POST the bundle; a non-2xx response raises urllib's HTTPError."""
@@ -324,7 +319,7 @@ class HttpSink:
             data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),
             headers={"Content-Type": "application/json"},
         )
-        with urlopen(request, timeout=self._timeout_s):
+        with urlopen(request, timeout=SINK_TIMEOUT_S):
             pass
 
     def close(self) -> None:
@@ -336,32 +331,22 @@ class ServiceRegistry:
     """Which sink receives each category, and under what beneficiary name."""
 
     def __init__(self):
-        self._sinks: dict[str, object] = {}
-        self._beneficiaries: dict[str, str] = {}
+        self._routes: dict[str, tuple[object, str]] = {}
 
     def add(self, category: str, sink, beneficiary: str) -> None:
         if category not in CATEGORIES:
             raise ValueError(f"unknown category: {category}")
-        self._sinks[category] = sink
-        self._beneficiaries[category] = beneficiary
+        self._routes[category] = (sink, beneficiary)
 
-    def sink_for(self, category: str):
+    def route(self, category: str) -> tuple[object, str]:
+        """(sink, beneficiary) for the category."""
         try:
-            return self._sinks[category]
+            return self._routes[category]
         except KeyError:
             raise NoServiceForCategoryError(category) from None
-
-    def beneficiary_for(self, category: str) -> str:
-        try:
-            return self._beneficiaries[category]
-        except KeyError:
-            raise NoServiceForCategoryError(category) from None
-
-    def categories(self) -> list[str]:
-        return [c for c in CATEGORIES if c in self._sinks]
 
     def close(self) -> None:
-        for sink in self._sinks.values():
+        for sink, _beneficiary in self._routes.values():
             sink.close()
 
     def __enter__(self) -> "ServiceRegistry":
@@ -376,7 +361,8 @@ class ServiceRegistry:
 
         http(s) targets become HTTP sinks; anything else is a directory,
         resolved against base_dir when relative. The target string as
-        written becomes the beneficiary name in ledger entries.
+        written becomes the beneficiary name in ledger entries. A
+        category may appear on one line only.
         """
         registry = cls()
         with open(path, encoding="utf-8") as fh:
@@ -390,6 +376,8 @@ class ServiceRegistry:
                 target = target.strip()
                 if not sep or not category or not target:
                     raise ValueError(f"{path}:{line_num}: expected 'category: sink'")
+                if category in registry._routes:
+                    raise ValueError(f"{path}:{line_num}: duplicate category {category}")
                 if target.startswith(("http://", "https://")):
                     sink: object = HttpSink(target)
                 else:
@@ -408,11 +396,10 @@ class PrivacyGateway:
     """
 
     def __init__(self, vault: Vault, ledger: ComplianceLedger, rules: CategoryRules | None = None,
-                 purpose: str = "recommendation", retention_days: int = 30):
+                 retention_days: int = 30):
         self.vault = vault
         self.ledger = ledger
         self.rules = rules or CategoryRules.default()
-        self.purpose = purpose
         self.retention_days = retention_days
         # Scrub terms keyed by their folded first SCRUB_MIN_LENGTH
         # characters; each entry holds that prefix's terms and their
@@ -523,25 +510,21 @@ class PrivacyGateway:
                 dispatched += 1
         return dispatched
 
-    def dispatch(self, bundle: CategoryBundle, registry: ServiceRegistry) -> DeliveryReceipt:
-        """Deliver to the category's sink and log exactly one disclosure.
+    def dispatch(self, bundle: CategoryBundle, registry: ServiceRegistry) -> int:
+        """Deliver to the category's sink and log exactly one disclosure;
+        returns the entry's ledger sequence number.
 
         The ledger entry is written only after the sink accepted the
         bundle, so the log never claims a delivery that did not happen.
         """
-        sink = registry.sink_for(bundle.category)
-        beneficiary = registry.beneficiary_for(bundle.category)
+        sink, beneficiary = registry.route(bundle.category)
         sink.deliver(bundle)
-        seq = self.ledger.record(
+        return self.ledger.record(
             EVENT_DISCLOSURE,
             subject_code=bundle.code,
             beneficiary=beneficiary,
-            purpose=self.purpose,
+            purpose=PURPOSE,
             retention_days=self.retention_days,
-        )
-        return DeliveryReceipt(
-            code=bundle.code, category=bundle.category,
-            beneficiary=beneficiary, ledger_seq=seq,
         )
 
     def remap(self, rec: Recommendation) -> tuple[str, str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import mmap
 import os
 from datetime import datetime, timezone
 
@@ -39,11 +40,13 @@ def iso_utc(ts_ms: int) -> str:
 class JsonLinesLog:
     """Append-only file of JSON objects, one per line, opened on the first append.
 
-    The newline commits a line. Replay skips a final line without one,
-    with one warning giving path and byte offset but no content, and the
-    first append cuts the file back to that offset; a read-only user
-    changes nothing. Any other line that is not a JSON object raises the
-    class's `error` with path:line. Appends are flushed; sync() fsyncs.
+    The newline commits a line. A final line without one is torn: replay
+    skips it, and the first append finds the end of the last committed
+    line from the file's tail and cuts the file back to it. Either logs
+    one warning per torn tail, giving path and byte offset but no
+    content; a read-only user changes nothing. Any other line that is not
+    a JSON object raises the class's `error` with path:line. Appends are
+    flushed; sync() fsyncs.
     """
 
     error: type[Exception] = ValueError
@@ -51,7 +54,7 @@ class JsonLinesLog:
     def __init__(self, path):
         self.path = str(path)
         self._fh = None
-        self._torn_at: int | None = None
+        self._torn_at: int | None = None  # committed end of the torn tail warned about
 
     def _error_at(self, line_num: int, message: str) -> Exception:
         return self.error(f"{self.path}:{line_num}: {message}")
@@ -82,17 +85,30 @@ class JsonLinesLog:
                     if not isinstance(obj, dict):
                         raise self._error_at(line_num, "line is not a JSON object")
                     yield line_num, obj
-        if rest and self._torn_at != committed:
+        if rest:
+            self._warn_torn(committed)
+
+    def _warn_torn(self, committed: int) -> None:
+        if self._torn_at != committed:
             log.warning("%s: skipping a torn final line at byte %d", self.path, committed)
             self._torn_at = committed
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate the file to just past its last newline (to 0 if none)."""
+        size = os.path.getsize(self.path)
+        if size == 0:
+            return
+        with open(self.path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            committed = m.rfind(b"\n") + 1  # rfind reads from the end back
+        if committed < size:
+            self._warn_torn(committed)
+            self._fh.truncate(committed)
 
     def _append(self, obj: dict) -> None:
         if self._fh is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._fh = open(self.path, "ab")
-            if self._torn_at is not None:
-                self._fh.truncate(self._torn_at)
-                self._torn_at = None
+            self._cut_torn_tail()
         self._fh.write((json.dumps(obj, ensure_ascii=False) + "\n").encode())
         self._fh.flush()
 

@@ -171,20 +171,20 @@ def test_writer_groups_pages_by_fetch_hour(tmp_path):
     with HourlyRecordWriter(str(tmp_path)) as writer:
         writer.write_page([make_record(1), make_record(2)], T0)
         writer.write_page([make_record(3)], T0 + hour_ms)
-    assert writer.paths_written == [
-        str(tmp_path / "09-07-2019" / "tweets-20 PM.txt"),
-        str(tmp_path / "09-07-2019" / "tweets-21 PM.txt"),
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
+        "09-07-2019/tweets-20 PM.txt",
+        "09-07-2019/tweets-21 PM.txt",
     ]
     first = (tmp_path / "09-07-2019" / "tweets-20 PM.txt").read_text(encoding="utf-8")
-    assert len(first.splitlines()) == 2
-    for line in first.splitlines():
-        decode_record(line)
+    assert [decode_record(line).id for line in first.splitlines()] == [
+        make_record(1).id, make_record(2).id]
+    second = (tmp_path / "09-07-2019" / "tweets-21 PM.txt").read_text(encoding="utf-8")
+    assert [decode_record(line).id for line in second.splitlines()] == [make_record(3).id]
 
 
 def test_writer_skips_empty_pages(tmp_path):
     with HourlyRecordWriter(str(tmp_path)) as writer:
         writer.write_page([], T0)
-    assert writer.paths_written == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -201,9 +201,10 @@ def test_writer_appends_on_reopen(tmp_path):
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Responds with a scripted sequence of status codes, then a fixed page."""
+    """Responds with a scripted sequence of status codes, each alone (with
+    body {}) or paired with a body, then a fixed page."""
 
-    script: list[int] = []
+    script: list[int | tuple[int, bytes]] = []
     calls = 0
     page: dict = {"statuses": [], "next": "tok"}
 
@@ -211,8 +212,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         cls = type(self)
         cls.calls += 1
         if cls.script:
-            code = cls.script.pop(0)
-            body = b"{}"
+            step = cls.script.pop(0)
+            code, body = step if isinstance(step, tuple) else (step, b"{}")
             self.send_response(code)
         else:
             body = json.dumps(cls.page).encode()
@@ -265,11 +266,32 @@ def test_client_gives_up_after_retry_budget(scripted_server):
 def test_client_charges_every_wire_attempt(scripted_server):
     url, handler = scripted_server
     handler.script = [500]
-    charged = []
-    client = SearchClient(url, Credentials(), VirtualClock(T0), on_attempt=charged.append)
+    client = SearchClient(url, Credentials(), VirtualClock(T0))
     client.search(10, None)
     client.close()
-    assert len(charged) == 2
+    assert client.window.used == 2
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[]", b"null", b'{"statuses": 5}'])
+def test_client_retries_a_200_that_is_not_a_search_page(scripted_server, body):
+    url, handler = scripted_server
+    handler.script = [(200, body)]
+    clock = VirtualClock(T0)
+    client = SearchClient(url, Credentials(), clock)
+    assert client.search(10, None) == ([], "tok")
+    client.close()
+    assert handler.calls == 2
+    assert clock.now_ms() - T0 == SearchClient.BACKOFF_START_MS
+
+
+@pytest.mark.parametrize("code,error", [(401, AuthError), (400, BadTokenError)])
+def test_client_maps_error_status_whatever_the_body(scripted_server, code, error):
+    url, handler = scripted_server
+    handler.script = [(code, b"[]")]
+    client = SearchClient(url, Credentials(), VirtualClock(T0))
+    with pytest.raises(error):
+        client.search(10, None)
+    client.close()
 
 
 def test_client_fails_fast_when_nothing_listens():
@@ -320,9 +342,7 @@ def test_client_reconnects_without_retry_when_server_dropped_idle_connection():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     clock = VirtualClock(T0)
-    charged = []
-    client = SearchClient(f"http://127.0.0.1:{server.server_address[1]}", Credentials(),
-                          clock, on_attempt=charged.append)
+    client = SearchClient(f"http://127.0.0.1:{server.server_address[1]}", Credentials(), clock)
     try:
         for _ in range(5):
             assert client.search(10, None) == ([], "tok")
@@ -333,7 +353,7 @@ def test_client_reconnects_without_retry_when_server_dropped_idle_connection():
         client.close()
         server.shutdown()
         server.server_close()
-    assert len(charged) == 5
+    assert client.window.used == 5
     assert handler.calls == 5
     assert clock.now_ms() == T0  # no backoff
 
@@ -477,6 +497,19 @@ def test_run_crawl_survives_unreachable_endpoint(tmp_path):
     stats = run_crawl(cfg, clock=VirtualClock(T0))
     assert stats.request_failures == 2
     assert stats.tweets_seen == 0
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[]"])
+def test_run_crawl_skips_a_page_whose_200_body_is_not_a_search_page(
+        scripted_server, tmp_path, body):
+    url, handler = scripted_server
+    attempts = SearchClient.MAX_RETRIES + 1
+    handler.script = [(200, body)] * (attempts + 1)
+    cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), max_requests=2)
+    stats = run_crawl(cfg, clock=VirtualClock(T0))
+    assert stats.requests == 2
+    assert stats.request_failures == 1  # the second page succeeds on its retry
+    assert handler.calls == attempts + 2
 
 
 def test_malformed_status_log_carries_no_identifier(scripted_server, tmp_path, caplog):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import random
 import re
@@ -16,10 +17,12 @@ import tweetpipe.ledger
 from tweetpipe.clock import VirtualClock
 from tweetpipe.gateway import (
     CATEGORIES,
+    CODE_HEX_LENGTH,
     CategoryBundle,
     CategoryRules,
     DEFAULT_CATEGORY,
     INVULNERABLE_FIELDS,
+    PURPOSE,
     VULNERABLE_FIELDS,
     SCRUB_MIN_LENGTH,
     SCRUB_REPLACEMENT,
@@ -461,24 +464,26 @@ def build_registry(categories=CATEGORIES):
 def test_dispatch_routes_to_matching_sink_only(gateway):
     registry, sinks = build_registry()
     bundle = gateway.pseudonymize(make_pt(text="OT sushi night"))[0]
-    receipt = gateway.dispatch(bundle, registry)
+    assert bundle.category == "food"
+    seq = gateway.dispatch(bundle, registry)
     assert [b.code for b in sinks["food"].bundles] == [bundle.code]
     assert all(not sink.bundles for cat, sink in sinks.items() if cat != "food")
-    assert receipt.beneficiary == "svc-food"
-    assert receipt.category == "food"
+    entry = read_entries(gateway.ledger.path)[-1]
+    assert (entry["seq"], entry["beneficiary"]) == (seq, "svc-food")
 
 
 def test_dispatch_logs_exactly_one_disclosure(gateway):
     registry, _ = build_registry()
     bundle = gateway.pseudonymize(make_pt())[0]
     before = len(gateway.ledger)
-    receipt = gateway.dispatch(bundle, registry)
+    seq = gateway.dispatch(bundle, registry)
     assert len(gateway.ledger) == before + 1
     entry = read_entries(gateway.ledger.path)[-1]
-    assert entry["seq"] == receipt.ledger_seq
+    assert entry["seq"] == seq
     assert entry["event"] == "disclosure"
     assert entry["subject_code"] == bundle.code
     assert entry["beneficiary"] == "svc-demographic_social"
+    assert entry["purpose"] == PURPOSE
     assert entry["retention_days"] == 30
 
 
@@ -501,6 +506,33 @@ def test_directory_sink_appends_jsonl(tmp_path, gateway):
     lines = (tmp_path / "food" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0]) == bundle.to_dict()
+
+
+def test_directory_sink_cuts_a_torn_tail_at_every_byte(tmp_path, caplog):
+    path = tmp_path / "food" / "bundles.jsonl"
+    first, second, third = (
+        CategoryBundle(code=c * CODE_HEX_LENGTH, category="food",
+                       payload={"text": text, "lang": "en"})
+        for c, text in (("a", "OT sushi"), ("b", "OT café ☃ 😀"), ("c", "OT ramen")))
+    with DirectorySink(tmp_path / "food") as sink:
+        sink.deliver(first)
+        sink.deliver(second)
+    data = path.read_bytes()
+    head = data[:data.index(b"\n") + 1]
+    last = data[len(head):]
+    assert len(last.decode("utf-8")) < len(last)  # some cuts split a UTF-8 sequence
+    for cut in range(len(last)):
+        torn = head + last[:cut]
+        path.write_bytes(torn)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tweetpipe.ledger"):
+            with DirectorySink(tmp_path / "food") as sink:
+                assert path.read_bytes() == torn  # opening leaves the file alone
+                sink.deliver(third)
+        expected = f"{path}: skipping a torn final line at byte {len(head)}"
+        assert [r.getMessage() for r in caplog.records] == ([expected] if cut else [])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [first.to_dict(), third.to_dict()]
 
 
 def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeypatch):
@@ -608,18 +640,31 @@ def test_registry_load(tmp_path):
         "travel: http://127.0.0.1:1/hook\n",
         encoding="utf-8",
     )
-    registry = ServiceRegistry.load(routes, base_dir=str(tmp_path))
-    assert registry.categories() == ["food", "travel"]
-    assert registry.beneficiary_for("food") == "sinks/food"
-    assert registry.beneficiary_for("travel") == "http://127.0.0.1:1/hook"
-    with pytest.raises(NoServiceForCategoryError):
-        registry.sink_for("ecommerce")
+    with ServiceRegistry.load(routes, base_dir=str(tmp_path)) as registry:
+        food_sink, food_name = registry.route("food")
+        assert isinstance(food_sink, DirectorySink)
+        assert food_sink.path == str(tmp_path / "sinks" / "food" / "bundles.jsonl")
+        assert food_name == "sinks/food"
+        travel_sink, travel_name = registry.route("travel")
+        assert isinstance(travel_sink, HttpSink)
+        assert travel_name == "http://127.0.0.1:1/hook"
+        for category in set(CATEGORIES) - {"food", "travel"}:
+            with pytest.raises(NoServiceForCategoryError):
+                registry.route(category)
 
 
 def test_registry_load_rejects_unknown_category(tmp_path):
     routes = tmp_path / "routes.txt"
     routes.write_text("catering: sinks/x\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        ServiceRegistry.load(routes, base_dir=str(tmp_path))
+
+
+def test_registry_load_rejects_duplicate_category(tmp_path):
+    routes = tmp_path / "routes.txt"
+    routes.write_text("food: sinks/a\n# second route\nfood: http://127.0.0.1:1/hook\n",
+                      encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(routes))}:3: duplicate category food$"):
         ServiceRegistry.load(routes, base_dir=str(tmp_path))
 
 

@@ -1,0 +1,61 @@
+"""Every public def and class in the package has a caller outside the tests.
+
+A public module-level or class-level function or class that nothing in
+``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
+only tests use. The allowlist names the few that are reached another way
+or kept on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tweetpipe"
+
+# module.qualname -> why it stays without a caller in src/ or bench/
+ALLOWED = {
+    "firehose._Handler.do_GET": "http.server dispatches GET requests to it by name",
+    "firehose._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
+    "gateway.classify_sensitivity": "the field classification the gateway's payload encodes",
+    "gateway.Vault.code_for": "the read-only lookup of a user's current code",
+}
+
+
+def public_definitions(tree: ast.Module, module: str):
+    """module.qualname of each public def or class at module or class level."""
+    pending = [(module, tree.body)]
+    while pending:
+        prefix, body = pending.pop()
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            qualname = f"{prefix}.{node.name}"
+            if not node.name.startswith("_"):
+                yield qualname, node.name
+            if isinstance(node, ast.ClassDef):
+                pending.append((qualname, node.body))
+
+
+def referenced_names(paths) -> set[str]:
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_public_api_is_used_only_by_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    used = referenced_names(sources + sorted((ROOT / "bench").glob("*.py")))
+    defined = {
+        qualname: name
+        for path in sources
+        for qualname, name in public_definitions(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert set(ALLOWED) <= set(defined), "allowlist names a definition that is gone"
+    unused = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
+    assert unused == []
