@@ -92,16 +92,15 @@ def load_regex_specs(path) -> list[AnalysisSpec]:
             pattern = pattern.strip()
             if not sep or not name or not pattern:
                 raise ParseError(path, line_num, "expected 'name: pattern'")
-            if not _NAME_RE.match(name):
-                raise ParseError(path, line_num, f"name not usable as a file name: {name!r}")
             if name in names:
                 raise ParseError(path, line_num, f"duplicate analysis name: {name}")
             try:
-                re.compile(pattern)
+                specs.append(AnalysisSpec(name=name, kind=KIND_REGEX, pattern=pattern))
             except re.error as exc:
                 raise RegexError(path, line_num, f"bad pattern: {exc}") from exc
+            except ValueError as exc:
+                raise ParseError(path, line_num, str(exc)) from exc
             names.add(name)
-            specs.append(AnalysisSpec(name=name, kind=KIND_REGEX, pattern=pattern))
     return specs
 
 

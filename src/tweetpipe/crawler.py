@@ -17,7 +17,6 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import os
 import select
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from .firehose import (
     RateWindow,
     RawTweet,
 )
+from .ledger import LineLog
 
 log = logging.getLogger(__name__)
 
@@ -172,38 +172,30 @@ class SeenIds:
 class HourlyRecordWriter:
     """Append encoded records to the crawl file for each page's fetch hour.
 
-    Rollover happens between pages only, and the outgoing file is flushed
-    at rollover and on close, so a reader never sees a torn record.
+    Each hour-file is a LineLog: a page goes out as one write of whole
+    lines, flushed before write_page returns, and rollover happens between
+    pages only. A crash mid-write can still leave a torn last line; a
+    crawl resumed into that hour cuts it, and process_file skips it.
     """
 
     def __init__(self, out_dir: str = "./data"):
         self.out_dir = out_dir
-        self._locator: FileLocator | None = None
-        self._fh = None
+        self._log: LineLog | None = None
 
     def write_page(self, records: list[TweetRecord], fetched_at_ms: int) -> None:
         if not records:
             return
-        locator = FileLocator.from_timestamp_ms(fetched_at_ms)
-        if locator != self._locator:
-            self._open(locator)
-        for record in records:
-            self._fh.write(encode_record(record) + "\n")
-
-    def _open(self, locator: FileLocator) -> None:
-        self.close()
-        path = crawl_file_path(locator, root=self.out_dir)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        self._locator = locator
-        log.debug("writing crawl records to %s", path)
+        path = crawl_file_path(FileLocator.from_timestamp_ms(fetched_at_ms), root=self.out_dir)
+        if self._log is None or self._log.path != path:
+            self.close()
+            self._log = LineLog(path)
+            log.debug("writing crawl records to %s", path)
+        self._log.append("".join(encode_record(r) + "\n" for r in records).encode())
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-            self._fh.close()
-            self._fh = None
-        self._locator = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "HourlyRecordWriter":
         return self

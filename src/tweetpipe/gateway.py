@@ -20,7 +20,7 @@ from importlib import resources
 from urllib.request import Request, urlopen
 
 from .clock import SystemClock
-from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger, JsonLinesLog
+from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger, LineLog
 from .processor import ProcessedTweet
 
 log = logging.getLogger(__name__)
@@ -143,10 +143,10 @@ def user_key_for(username: str, user_id: str) -> str:
     return f"{username}:{user_id}"
 
 
-class Vault(JsonLinesLog):
+class Vault(LineLog):
     """Append-only pseudonym store with an in-memory index.
 
-    The file is a JsonLinesLog of bind and erase operations; replaying it
+    The file is a LineLog of JSON bind and erase operations; replaying it
     rebuilds the live mapping, so erased bindings stay unreadable forever
     while the history remains auditable. erase fsyncs its tombstone before
     it returns; new bindings wait for sync(), which the gateway calls
@@ -159,7 +159,7 @@ class Vault(JsonLinesLog):
 
     def __init__(self, path, rng=None, clock=None):
         super().__init__(path)
-        self._rng = rng
+        self._rng = secrets.SystemRandom() if rng is None else rng
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
@@ -179,10 +179,7 @@ class Vault(JsonLinesLog):
 
     def _mint_code(self, avoid: tuple[str, ...]) -> str:
         for _ in range(256):
-            if self._rng is not None:
-                code = f"{self._rng.getrandbits(128):0{CODE_HEX_LENGTH}x}"
-            else:
-                code = secrets.token_hex(CODE_HEX_LENGTH // 2)
+            code = f"{self._rng.getrandbits(128):0{CODE_HEX_LENGTH}x}"
             if code in self._by_code:
                 continue
             if any(ident in code for ident in avoid):
@@ -269,6 +266,8 @@ class CategoryRules:
                 category = category.strip()
                 if not sep or not category:
                     raise ValueError(f"{path}:{line_num}: expected 'category: word|word|...'")
+                if category not in CATEGORIES:
+                    raise ValueError(f"{path}:{line_num}: unknown category {category}")
                 keywords = tuple(w.strip() for w in words.split("|") if w.strip())
                 if category in rules:
                     raise ValueError(f"{path}:{line_num}: duplicate category {category}")
@@ -290,7 +289,7 @@ class CategoryRules:
         return matched or [DEFAULT_CATEGORY]
 
 
-class DirectorySink(JsonLinesLog):
+class DirectorySink(LineLog):
     """Delivers bundles by appending JSON lines under a directory.
 
     bundles.jsonl is opened on the first delivery and stays open until
@@ -376,6 +375,8 @@ class ServiceRegistry:
                 target = target.strip()
                 if not sep or not category or not target:
                     raise ValueError(f"{path}:{line_num}: expected 'category: sink'")
+                if category not in CATEGORIES:
+                    raise ValueError(f"{path}:{line_num}: unknown category {category}")
                 if category in registry._routes:
                     raise ValueError(f"{path}:{line_num}: duplicate category {category}")
                 if target.startswith(("http://", "https://")):

@@ -1,4 +1,5 @@
-"""Append-only compliance ledger, and the JSON-lines log under it and the vault.
+"""Append-only compliance ledger, and the line log under it, the vault,
+the directory sinks and the crawl files.
 
 Every data handover, erasure, consent and breach notification is one
 JSON object on its own line, numbered by a gapless sequence that
@@ -37,16 +38,17 @@ def iso_utc(ts_ms: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-class JsonLinesLog:
-    """Append-only file of JSON objects, one per line, opened on the first append.
+class LineLog:
+    """Append-only file of lines, opened on the first append.
 
-    The newline commits a line. A final line without one is torn: replay
+    The newline commits a line. A final line without one is torn: a read
     skips it, and the first append finds the end of the last committed
     line from the file's tail and cuts the file back to it. Either logs
     one warning per torn tail, giving path and byte offset but no
-    content; a read-only user changes nothing. Any other line that is not
-    a JSON object raises the class's `error` with path:line. Appends are
-    flushed; sync() fsyncs.
+    content; a read-only user changes nothing. Appends take whole lines
+    and are flushed; sync() fsyncs. The JSON subclasses store one object
+    per line, and any other committed line raises the class's `error`
+    with path:line on replay.
     """
 
     error: type[Exception] = ValueError
@@ -54,16 +56,15 @@ class JsonLinesLog:
     def __init__(self, path):
         self.path = str(path)
         self._fh = None
-        self._torn_at: int | None = None  # committed end of the torn tail warned about
+        self.torn_at: int | None = None  # committed end of the torn tail warned about
 
     def _error_at(self, line_num: int, message: str) -> Exception:
         return self.error(f"{self.path}:{line_num}: {message}")
 
-    def _replay(self, needle: bytes = b""):
-        """Yield (line_num, obj) for each committed line containing needle;
-        blocks of whole lines and lines without it are skipped unparsed."""
-        if not os.path.exists(self.path):
-            return
+    def lines(self, needle: bytes = b""):
+        """Yield (line_num, line) for each committed line containing needle,
+        without its newline; blocks of whole lines without it are skipped
+        unsplit. A torn final line is not yielded: it sets torn_at."""
         line_num, committed, rest = 0, 0, b""
         with open(self.path, "rb") as fh:
             while chunk := fh.read(1 << 16):
@@ -76,22 +77,31 @@ class JsonLinesLog:
                     continue
                 for line in block.split(b"\n")[:-1]:
                     line_num += 1
-                    if needle not in line or not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line.decode("utf-8"))
-                    except ValueError as exc:
-                        raise self._error_at(line_num, f"corrupt line: {exc}")
-                    if not isinstance(obj, dict):
-                        raise self._error_at(line_num, "line is not a JSON object")
-                    yield line_num, obj
+                    if needle in line:
+                        yield line_num, line
         if rest:
             self._warn_torn(committed)
 
+    def _replay(self, needle: bytes = b""):
+        """Yield (line_num, obj) for each committed non-blank line containing
+        needle, parsed as a JSON object; nothing if the file does not exist."""
+        if not os.path.exists(self.path):
+            return
+        for line_num, line in self.lines(needle):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise self._error_at(line_num, f"corrupt line: {exc}")
+            if not isinstance(obj, dict):
+                raise self._error_at(line_num, "line is not a JSON object")
+            yield line_num, obj
+
     def _warn_torn(self, committed: int) -> None:
-        if self._torn_at != committed:
+        if self.torn_at != committed:
             log.warning("%s: skipping a torn final line at byte %d", self.path, committed)
-            self._torn_at = committed
+            self.torn_at = committed
 
     def _cut_torn_tail(self) -> None:
         """Truncate the file to just past its last newline (to 0 if none)."""
@@ -104,13 +114,17 @@ class JsonLinesLog:
             self._warn_torn(committed)
             self._fh.truncate(committed)
 
-    def _append(self, obj: dict) -> None:
+    def append(self, lines: bytes) -> None:
+        """Append whole lines, each ending in a newline, in one write and flush."""
         if self._fh is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._fh = open(self.path, "ab")
             self._cut_torn_tail()
-        self._fh.write((json.dumps(obj, ensure_ascii=False) + "\n").encode())
+        self._fh.write(lines)
         self._fh.flush()
+
+    def _append(self, obj: dict) -> None:
+        self.append((json.dumps(obj, ensure_ascii=False) + "\n").encode())
 
     def sync(self) -> None:
         """fsync every append so far; nothing to do before the first."""
@@ -129,12 +143,12 @@ class JsonLinesLog:
         self.close()
 
 
-class ComplianceLedger(JsonLinesLog):
+class ComplianceLedger(LineLog):
     """Durable audit log with per-event validation.
 
     Records are flushed and fsynced before `record` returns (set
     fsync=False to trade durability for bulk speed); a torn final entry
-    is cut as JsonLinesLog describes. On open, an existing file is
+    is cut as LineLog describes. On open, an existing file is
     replayed once to resume the sequence gaplessly. No entry stays in
     memory: reports stream the file again.
     """

@@ -31,6 +31,7 @@ from .codec import (
     parse_crawl_file_path,
     processed_file_path,
 )
+from .ledger import LineLog
 
 log = logging.getLogger(__name__)
 
@@ -219,24 +220,24 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
 
     The output JSON array lands at the processed path for the input
     file's date and hour, rooted at out_root. Undecodable lines are
-    skipped and counted, not fatal.
+    skipped and counted, not fatal. The file is read as a LineLog, so a
+    final line without a newline is torn, not a record: it is counted as
+    skipped, with one warning that gives its byte offset.
     """
     crawl_loc = parse_crawl_file_path(in_path)
-    with open(in_path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
+    crawl_log = LineLog(in_path)
     records: list[ProcessedTweet] = []
     skipped = 0
-    for line_num, line in enumerate(lines, start=1):
+    for line_num, line in crawl_log.lines():
         try:
-            record = decode_record(line)
+            record = decode_record(line.decode("utf-8"))
         except FieldCountError as exc:
             skipped += 1
             log.warning("%s:%d: %s", in_path, line_num, exc)
             continue
         records.append(ProcessedTweet.from_record(record, gazetteer))
+    if crawl_log.torn_at is not None:
+        skipped += 1
 
     out_loc = FileLocator(date=crawl_loc.date, hour=crawl_loc.hour, kind=KIND_PROCESSED)
     out_path = processed_file_path(out_loc, root=out_root)

@@ -1,5 +1,6 @@
 """Counting, spec parsing, and CSV output tests."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -83,6 +84,14 @@ def test_load_regex_specs_rejects_missing_colon(tmp_path):
     with pytest.raises(ParseError) as exc_info:
         load_regex_specs(spec_file)
     assert exc_info.value.line_num == 1
+
+
+def test_load_regex_specs_rejects_unusable_name(tmp_path):
+    spec_file = tmp_path / "bad.txt"
+    spec_file.write_text("ok: fine\nno/slash: x\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(spec_file))}:2: ") as exc_info:
+        load_regex_specs(spec_file)
+    assert exc_info.value.line_num == 2
 
 
 def test_load_regex_specs_rejects_bad_pattern(tmp_path):

@@ -197,6 +197,27 @@ def test_writer_appends_on_reopen(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
+def test_resumed_crawl_cuts_a_torn_record_at_every_byte(tmp_path, caplog):
+    path = tmp_path / "09-07-2019" / "tweets-20 PM.txt"
+    first, second, third = make_record(1), make_record(2, text="OT café ☃ 😀"), make_record(3)
+    with HourlyRecordWriter(str(tmp_path)) as writer:
+        writer.write_page([first, second], T0)
+    data = path.read_bytes()
+    head = data[:data.index(b"\n") + 1]
+    last = data[len(head):]
+    assert len(last.decode("utf-8")) < len(last)  # some cuts split a UTF-8 sequence
+    for cut in range(1, len(last)):
+        path.write_bytes(head + last[:cut])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tweetpipe"):
+            with HourlyRecordWriter(str(tmp_path)) as writer:
+                writer.write_page([third], T0)
+        expected = f"{path}: skipping a torn final line at byte {len(head)}"
+        assert [r.getMessage() for r in caplog.records] == [expected]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [decode_record(line) for line in lines] == [first, third]
+
+
 # ------------------------------------------------------------ SearchClient
 
 

@@ -296,6 +296,13 @@ def test_rules_load_rejects_duplicates(tmp_path):
         CategoryRules.load(path)
 
 
+def test_rules_load_rejects_unknown_category(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("food: soup\n# caterers\ncatering: buffet\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: unknown category catering$"):
+        CategoryRules.load(path)
+
+
 # ------------------------------------------------------------ pseudonymize
 
 
@@ -655,8 +662,9 @@ def test_registry_load(tmp_path):
 
 def test_registry_load_rejects_unknown_category(tmp_path):
     routes = tmp_path / "routes.txt"
-    routes.write_text("catering: sinks/x\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    routes.write_text("food: sinks/a\ncatering: sinks/x\n", encoding="utf-8")
+    message = f"^{re.escape(str(routes))}:2: unknown category catering$"
+    with pytest.raises(ValueError, match=message):
         ServiceRegistry.load(routes, base_dir=str(tmp_path))
 
 

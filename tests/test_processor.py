@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import re
 
 import pytest
@@ -366,6 +367,28 @@ def test_process_file_without_records_writes_an_empty_array(tmp_path, lines):
     assert (records, skipped) == ([], len(lines))
     out_path = tmp_path / "09-08-2019-tweets-06 AM.json"
     assert out_path.read_bytes() == b"[]\n"
+
+
+def test_process_file_skips_a_torn_record_at_every_byte(tmp_path, caplog):
+    first = make_record(id="1170447725900742101")
+    second = make_record(id="1170447725900742999", name="Ravi Kumar", username="ravi_k",
+                         location="Mumbai", text="OT café ☃ 😀")
+    in_path = write_crawl_file(tmp_path, [encode_record(first), encode_record(second)])
+    data = in_path.read_bytes()
+    head = data[:data.index(b"\n") + 1]
+    last = data[len(head):]
+    assert len(last.decode("utf-8")) < len(last)  # some cuts split a UTF-8 sequence
+    for cut in range(1, len(last)):
+        in_path.write_bytes(head + last[:cut])
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tweetpipe"):
+            records, skipped = process_file(in_path, WORLD, out_root=str(tmp_path))
+        assert [r.id for r in records] == [first.id]
+        assert skipped == 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == [f"{in_path}: skipping a torn final line at byte {len(head)}"]
+        for value in set(second.fields()) - set(first.fields()):
+            assert value not in caplog.text
 
 
 def test_find_crawl_files(tmp_path):

@@ -1,4 +1,5 @@
-"""Every public def and class in the package has a caller outside the tests.
+"""Every public def and class in the package has a caller outside the tests,
+and only the line log appends to files.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -7,6 +8,7 @@ or kept on purpose.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,31 @@ def test_no_public_api_is_used_only_by_tests():
     assert set(ALLOWED) <= set(defined), "allowlist names a definition that is gone"
     unused = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
     assert unused == []
+
+
+APPEND_MODE = re.compile(r"[rwxbt+]*a[rwxbt+]*")
+
+
+def append_opens(tree: ast.Module):
+    """Line number of each open(...) or x.open(...) call given an append mode."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "open":
+            continue
+        for arg in [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]:
+            if (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    and APPEND_MODE.fullmatch(arg.value)):
+                yield node.lineno
+
+
+def test_only_the_line_log_appends_to_files():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "ledger.py"
+        for line in append_opens(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
