@@ -30,7 +30,7 @@ _NAME_RE = re.compile(r"^[\w.-]+$")
 
 
 class ParseError(ValueError):
-    """A regex-spec line is malformed."""
+    """A line of a user-written input file is malformed."""
 
     def __init__(self, path, line_num: int, message: str):
         super().__init__(f"{path}:{line_num}: {message}")
@@ -40,6 +40,35 @@ class ParseError(ValueError):
 
 class RegexError(ParseError):
     """A regex-spec pattern does not compile."""
+
+
+def read_entries(path, form: str, keys=None):
+    """Yield (line_num, key, value) for each "key: value" line of a file.
+
+    form names the line shape for error messages ("name: pattern"); its
+    part before the colon names the key. Blank lines and lines starting
+    with "#" are skipped, and a line splits at its first colon, so a value
+    may hold colons (URLs do). Key and value are stripped; the value may
+    be empty. Raises ParseError for a line without a colon, an empty key,
+    a key outside keys (when given) or a key seen before.
+    """
+    noun = form[:form.index(":")]
+    seen: set[str] = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_num, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition(":")
+            key = key.strip()
+            if not sep or not key:
+                raise ParseError(path, line_num, f"expected '{form}'")
+            if keys is not None and key not in keys:
+                raise ParseError(path, line_num, f"unknown {noun} {key}")
+            if key in seen:
+                raise ParseError(path, line_num, f"duplicate {noun} {key}")
+            seen.add(key)
+            yield line_num, key, value.strip()
 
 
 @dataclass(frozen=True)
@@ -76,31 +105,21 @@ BUILTIN_SPECS = (
 def load_regex_specs(path) -> list[AnalysisSpec]:
     """Parse a regex-spec file: one "name: pattern" per line.
 
-    Blank lines and lines starting with "#" are ignored. Raises
-    ParseError (with line number) for malformed lines and duplicate
-    names, RegexError for patterns that do not compile.
+    The lines follow read_entries. Raises ParseError (with line number)
+    for malformed lines, duplicate names and unusable names, RegexError
+    for patterns that do not compile.
     """
+    form = "name: pattern"
     specs: list[AnalysisSpec] = []
-    names: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, pattern = line.partition(":")
-            name = name.strip()
-            pattern = pattern.strip()
-            if not sep or not name or not pattern:
-                raise ParseError(path, line_num, "expected 'name: pattern'")
-            if name in names:
-                raise ParseError(path, line_num, f"duplicate analysis name: {name}")
-            try:
-                specs.append(AnalysisSpec(name=name, kind=KIND_REGEX, pattern=pattern))
-            except re.error as exc:
-                raise RegexError(path, line_num, f"bad pattern: {exc}") from exc
-            except ValueError as exc:
-                raise ParseError(path, line_num, str(exc)) from exc
-            names.add(name)
+    for line_num, name, pattern in read_entries(path, form):
+        if not pattern:
+            raise ParseError(path, line_num, f"expected '{form}'")
+        try:
+            specs.append(AnalysisSpec(name=name, kind=KIND_REGEX, pattern=pattern))
+        except re.error as exc:
+            raise RegexError(path, line_num, f"bad pattern: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(path, line_num, str(exc)) from exc
     return specs
 
 
@@ -166,10 +185,26 @@ def write_csv(name: str, rows, out_dir) -> str:
 
 
 def read_rows_csv(path) -> list[AnalysisRow]:
-    """Read rows back from an analysis CSV (header required)."""
+    """Read rows back from an analysis CSV (header required).
+
+    Raises ParseError (with line number) for a row without a key and a
+    count, or whose count is not an integer.
+    """
+    rows: list[AnalysisRow] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["key", "count"]:
             raise ValueError(f"{path}: not an analysis CSV (bad header {header!r})")
-        return [AnalysisRow(key=row[0], count=int(row[1])) for row in reader if row]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 2:
+                raise ParseError(path, reader.line_num, "expected 'key,count'")
+            try:
+                count = int(row[1])
+            except ValueError:
+                raise ParseError(path, reader.line_num,
+                                 f"count is not an integer: {row[1]!r}") from None
+            rows.append(AnalysisRow(key=row[0], count=count))
+    return rows

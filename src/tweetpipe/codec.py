@@ -12,12 +12,11 @@ the source API produced; this codec never parses it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timezone
+from operator import attrgetter
 
 DELIMITER = "<8>"
-
-FIELD_NAMES = ("creation_date", "id", "lang", "location", "name", "username", "text")
 
 KIND_CRAWL = "crawl"
 KIND_PROCESSED = "processed"
@@ -51,15 +50,8 @@ class TweetRecord:
     text: str
 
     def fields(self) -> tuple[str, ...]:
-        return (
-            self.creation_date,
-            self.id,
-            self.lang,
-            self.location,
-            self.name,
-            self.username,
-            self.text,
-        )
+        """The seven field values in on-disk order."""
+        return _field_values(self)
 
     def validate(self) -> None:
         """Raise InvalidRecordError unless every codec invariant holds."""
@@ -76,6 +68,10 @@ class TweetRecord:
             raise InvalidRecordError("id must be a non-empty decimal-digit string")
         if not self.location:
             raise InvalidRecordError("location must be non-empty")
+
+
+FIELD_NAMES = tuple(f.name for f in fields(TweetRecord))
+_field_values = attrgetter(*FIELD_NAMES)
 
 
 def sanitize_field(raw: str) -> str:

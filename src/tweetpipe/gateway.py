@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from urllib.request import Request, urlopen
 
+from .analyzer import ParseError, read_entries
 from .clock import SystemClock
 from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger, LineLog
 from .processor import ProcessedTweet
@@ -108,7 +109,9 @@ class CategoryBundle:
     payload: dict
 
     def to_dict(self) -> dict:
-        return {"code": self.code, "category": self.category, "payload": dict(self.payload)}
+        # Not copied: the bundles of one record share the payload, and
+        # every caller only serializes the result.
+        return {"code": self.code, "category": self.category, "payload": self.payload}
 
 
 @dataclass(frozen=True)
@@ -256,23 +259,13 @@ class CategoryRules:
 
     @classmethod
     def load(cls, path) -> "CategoryRules":
-        rules: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_num, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                category, sep, words = line.partition(":")
-                category = category.strip()
-                if not sep or not category:
-                    raise ValueError(f"{path}:{line_num}: expected 'category: word|word|...'")
-                if category not in CATEGORIES:
-                    raise ValueError(f"{path}:{line_num}: unknown category {category}")
-                keywords = tuple(w.strip() for w in words.split("|") if w.strip())
-                if category in rules:
-                    raise ValueError(f"{path}:{line_num}: duplicate category {category}")
-                rules[category] = keywords
-        return cls(rules)
+        """Parse the rules file; its lines follow read_entries, and an
+        empty keyword list is allowed."""
+        return cls({
+            category: tuple(w.strip() for w in words.split("|") if w.strip())
+            for _line_num, category, words in read_entries(
+                path, "category: word|word|...", CATEGORIES)
+        })
 
     @classmethod
     def default(cls) -> "CategoryRules":
@@ -356,35 +349,22 @@ class ServiceRegistry:
 
     @classmethod
     def load(cls, path, base_dir: str = ".") -> "ServiceRegistry":
-        """Parse "category: sink-directory-or-URL" lines.
+        """Parse "category: sink-directory-or-URL" lines (see read_entries).
 
         http(s) targets become HTTP sinks; anything else is a directory,
         resolved against base_dir when relative. The target string as
-        written becomes the beneficiary name in ledger entries. A
-        category may appear on one line only.
+        written becomes the beneficiary name in ledger entries.
         """
+        form = "category: sink"
         registry = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line_num, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                category, sep, target = line.partition(":")
-                # A colon also appears in URLs, so split only on the first.
-                category = category.strip()
-                target = target.strip()
-                if not sep or not category or not target:
-                    raise ValueError(f"{path}:{line_num}: expected 'category: sink'")
-                if category not in CATEGORIES:
-                    raise ValueError(f"{path}:{line_num}: unknown category {category}")
-                if category in registry._routes:
-                    raise ValueError(f"{path}:{line_num}: duplicate category {category}")
-                if target.startswith(("http://", "https://")):
-                    sink: object = HttpSink(target)
-                else:
-                    directory = target if os.path.isabs(target) else os.path.join(base_dir, target)
-                    sink = DirectorySink(directory)
-                registry.add(category, sink, target)
+        for line_num, category, target in read_entries(path, form, CATEGORIES):
+            if not target:
+                raise ParseError(path, line_num, f"expected '{form}'")
+            if target.startswith(("http://", "https://")):
+                sink: object = HttpSink(target)
+            else:
+                sink = DirectorySink(os.path.join(base_dir, target))
+            registry.add(category, sink, target)
         return registry
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from json.encoder import encode_basestring
 
+from .analyzer import ParseError
 from .codec import (
     KIND_PROCESSED,
     FieldCountError,
@@ -152,11 +153,14 @@ def load_gazetteer(path) -> list[GazetteerEntry]:
             if row_num == 1 and tuple(c.strip().lower() for c in row) == GAZETTEER_HEADER:
                 continue
             if len(row) < 2:
-                raise ValueError(f"{path}:{row_num}: expected city,country[,aliases]")
+                raise ParseError(path, row_num, "expected city,country[,aliases]")
             aliases: tuple[str, ...] = ()
             if len(row) >= 3 and row[2].strip():
                 aliases = tuple(a.strip() for a in row[2].split("|") if a.strip())
-            entries.append(GazetteerEntry(row[0].strip(), row[1].strip(), aliases))
+            try:
+                entries.append(GazetteerEntry(row[0].strip(), row[1].strip(), aliases))
+            except ValueError as exc:
+                raise ParseError(path, row_num, str(exc)) from exc
     return entries
 
 
@@ -168,16 +172,9 @@ def default_gazetteer() -> Gazetteer:
 
 
 @dataclass(frozen=True)
-class ProcessedTweet:
+class ProcessedTweet(TweetRecord):
     """A decoded record plus the detector's country/city verdict."""
 
-    creation_date: str
-    id: str
-    lang: str
-    location: str
-    name: str
-    username: str
-    text: str
     country: str | None = None
     city: str | None = None
 
@@ -219,10 +216,11 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     """Process one crawl file; returns (records, skipped line count).
 
     The output JSON array lands at the processed path for the input
-    file's date and hour, rooted at out_root. Undecodable lines are
-    skipped and counted, not fatal. The file is read as a LineLog, so a
-    final line without a newline is torn, not a record: it is counted as
-    skipped, with one warning that gives its byte offset.
+    file's date and hour, rooted at out_root. Undecodable lines (not
+    seven fields, or not UTF-8) are skipped and counted, not fatal. The
+    file is read as a LineLog, so a final line without a newline is torn,
+    not a record: it is counted as skipped, with one warning that gives
+    its byte offset.
     """
     crawl_loc = parse_crawl_file_path(in_path)
     crawl_log = LineLog(in_path)
@@ -234,6 +232,11 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
         except FieldCountError as exc:
             skipped += 1
             log.warning("%s:%d: %s", in_path, line_num, exc)
+            continue
+        except UnicodeDecodeError:
+            # The decoder's own message quotes the bad bytes; log none.
+            skipped += 1
+            log.warning("%s:%d: not valid UTF-8", in_path, line_num)
             continue
         records.append(ProcessedTweet.from_record(record, gazetteer))
     if crawl_log.torn_at is not None:

@@ -22,6 +22,12 @@ from tweetpipe.analyzer import (
     sort_rows,
     write_csv,
 )
+from tweetpipe.gateway import (
+    CATEGORIES,
+    CategoryRules,
+    NoServiceForCategoryError,
+    ServiceRegistry,
+)
 from tweetpipe.processor import ProcessedTweet
 
 
@@ -102,6 +108,58 @@ def test_load_regex_specs_rejects_bad_pattern(tmp_path):
     assert exc_info.value.line_num == 2
 
 
+# --------------------------------------------------------- name: value files
+
+
+def regex_entries(path):
+    return {s.name: s.pattern for s in load_regex_specs(path)}
+
+
+def rules_entries(path):
+    return {cat: "|".join(words) for cat, words in CategoryRules.load(path).rules.items()}
+
+
+def registry_entries(path):
+    entries = {}
+    with ServiceRegistry.load(path, base_dir=str(path.parent)) as registry:
+        for category in CATEGORIES:
+            try:
+                entries[category] = registry.route(category)[1]
+            except NoServiceForCategoryError:
+                pass
+    return entries
+
+
+LOADERS = {"regex": regex_entries, "rules": rules_entries, "registry": registry_entries}
+ALL = tuple(LOADERS)
+
+
+@pytest.mark.parametrize("text, line_num, loaders", [
+    ("food: soup\nno colon here\n", 2, ALL),
+    ("food: soup\n  : soup\n", 2, ALL),
+    ("food: soup\n\n# again\nfood: stew\n", 4, ALL),
+    ("# caterers\ncatering: buffet\n", 2, ("rules", "registry")),
+], ids=["missing-colon", "empty-key", "repeated-key", "unknown-category"])
+def test_loaders_reject_a_bad_line_at_its_number(tmp_path, text, line_num, loaders):
+    path = tmp_path / "entries.txt"
+    path.write_text(text, encoding="utf-8")
+    for loader in loaders:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line_num}: ") as exc_info:
+            LOADERS[loader](path)
+        assert exc_info.value.line_num == line_num
+
+
+@pytest.mark.parametrize("text, entries", [
+    ("travel: http://h:1/x\n", {"travel": "http://h:1/x"}),
+    ("# comment\n\n   \n  # indented comment\n food :  soup \n", {"food": "soup"}),
+], ids=["colon-in-value", "comments-and-blanks"])
+def test_loaders_read_the_same_entries(tmp_path, text, entries):
+    path = tmp_path / "entries.txt"
+    path.write_text(text, encoding="utf-8")
+    for loader in ALL:
+        assert LOADERS[loader](path) == entries
+
+
 # ---------------------------------------------------------------- counting
 
 
@@ -179,6 +237,18 @@ def test_csv_round_trip(tmp_path):
     rows = [AnalysisRow("x", 3), AnalysisRow("a,b", 2), AnalysisRow("z", 1)]
     path = write_csv("t", rows, str(tmp_path))
     assert read_rows_csv(path) == rows
+
+
+@pytest.mark.parametrize("text, line_num", [
+    ("key,count\na,1\nonly\n", 3),
+    ("key,count\na,1\n\nb,many\n", 4),
+], ids=["one-cell", "count-not-integer"])
+def test_read_rows_csv_rejects_a_bad_row_at_its_line(tmp_path, text, line_num):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line_num}: ") as exc_info:
+        read_rows_csv(path)
+    assert exc_info.value.line_num == line_num
 
 
 def test_read_rows_csv_checks_header(tmp_path):

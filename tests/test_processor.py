@@ -4,11 +4,13 @@ import io
 import json
 import logging
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tweetpipe.codec import TweetRecord, encode_record
+from tweetpipe.analyzer import ParseError
+from tweetpipe.codec import FIELD_NAMES, TweetRecord, encode_record
 from tweetpipe.processor import (
     Gazetteer,
     GazetteerEntry,
@@ -227,6 +229,15 @@ def test_load_gazetteer_rejects_short_rows(tmp_path):
         load_gazetteer(csv_path)
 
 
+@pytest.mark.parametrize("row", ["Delhi,,", ",India,Bharat", "  ,India"])
+def test_load_gazetteer_rejects_an_empty_city_or_country_at_its_row(tmp_path, row):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"city,country,aliases\nMumbai,India,\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(csv_path))}:3: ") as exc_info:
+        load_gazetteer(csv_path)
+    assert exc_info.value.line_num == 3
+
+
 def test_default_gazetteer_is_usable():
     gaz = default_gazetteer()
     assert gaz.entries
@@ -255,6 +266,12 @@ def test_from_record_attaches_verdict():
     assert (pt.country, pt.city) == ("India", "Delhi")
     assert pt.id == "1170447725900742656"
     assert pt.text == "OT morning chai"
+
+
+def test_processed_fields_are_the_record_fields_then_the_verdict():
+    # The processed JSON lays out its keys in this order.
+    assert FIELD_NAMES == ("creation_date", "id", "lang", "location", "name", "username", "text")
+    assert [f.name for f in fields(ProcessedTweet)] == [*FIELD_NAMES, "country", "city"]
 
 
 def test_city_without_country_is_invalid():
@@ -389,6 +406,17 @@ def test_process_file_skips_a_torn_record_at_every_byte(tmp_path, caplog):
         assert warnings == [f"{in_path}: skipping a torn final line at byte {len(head)}"]
         for value in set(second.fields()) - set(first.fields()):
             assert value not in caplog.text
+
+
+def test_process_file_skips_a_line_that_is_not_utf8(tmp_path, caplog):
+    in_path = write_crawl_file(tmp_path, [])
+    good = encode_record(make_record(id="102")).encode()
+    in_path.write_bytes(b"a<8>1<8>en<8>x<8>n<8>u<8>t\xff\n" + good + b"\n")
+    with caplog.at_level(logging.DEBUG, logger="tweetpipe"):
+        records, skipped = process_file(in_path, WORLD, out_root=str(tmp_path))
+    assert ([r.id for r in records], skipped) == (["102"], 1)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [f"{in_path}:1: not valid UTF-8"]
 
 
 def test_find_crawl_files(tmp_path):

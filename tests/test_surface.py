@@ -1,5 +1,6 @@
 """Every public def and class in the package has a caller outside the tests,
-and only the line log appends to files.
+only the line log appends to files, and only the entry reader splits
+``name: value`` lines.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -87,5 +88,24 @@ def test_only_the_line_log_appends_to_files():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "ledger.py"
         for line in append_opens(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def colon_partitions(tree: ast.Module):
+    """Line number of each x.partition(":") call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "partition" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == ":"):
+            yield node.lineno
+
+
+def test_only_the_entry_reader_splits_name_value_lines():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "analyzer.py"
+        for line in colon_partitions(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
