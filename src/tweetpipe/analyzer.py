@@ -15,6 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .ledger import replaced_text
+
 KIND_LANG = "builtin_lang"
 KIND_COUNTRY = "builtin_country"
 KIND_HASHTAG = "builtin_hashtag"
@@ -166,9 +168,9 @@ def write_rows(path, rows) -> str:
     """Write rows to one CSV file with a "key,count" header.
 
     Standard CSV quoting, so keys containing commas or quotes stay
-    parseable.
+    parseable. The new file replaces any old one as a whole.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replaced_text(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["key", "count"])
         for row in rows:

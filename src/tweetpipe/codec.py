@@ -18,9 +18,6 @@ from operator import attrgetter
 
 DELIMITER = "<8>"
 
-KIND_CRAWL = "crawl"
-KIND_PROCESSED = "processed"
-
 _LINE_BREAKS = re.compile(r"\r\n|[\r\n]")
 _CRAWL_PATH = re.compile(r"(\d{2})-(\d{2})-(\d{4})[/\\]tweets-(\d{2}) (AM|PM)\.txt$")
 
@@ -53,22 +50,6 @@ class TweetRecord:
         """The seven field values in on-disk order."""
         return _field_values(self)
 
-    def validate(self) -> None:
-        """Raise InvalidRecordError unless every codec invariant holds."""
-        for field_name, value in zip(FIELD_NAMES, self.fields()):
-            if DELIMITER in value:
-                raise InvalidRecordError(f"{field_name} contains the {DELIMITER!r} delimiter")
-            if "\n" in value or "\r" in value:
-                raise InvalidRecordError(f"{field_name} contains a line break")
-            # Decoding trims one optional space around each delimiter, so a
-            # field with a leading/trailing space would not round-trip.
-            if value.startswith(" ") or value.endswith(" "):
-                raise InvalidRecordError(f"{field_name} has leading or trailing space")
-        if not self.id or not self.id.isdigit():
-            raise InvalidRecordError("id must be a non-empty decimal-digit string")
-        if not self.location:
-            raise InvalidRecordError("location must be non-empty")
-
 
 FIELD_NAMES = tuple(f.name for f in fields(TweetRecord))
 _field_values = attrgetter(*FIELD_NAMES)
@@ -90,11 +71,27 @@ def sanitize_field(raw: str) -> str:
 def encode_record(record: TweetRecord) -> str:
     """Encode a record as a single delimited line.
 
-    Raises InvalidRecordError if the record violates an invariant; callers
-    are expected to run sanitize_field over untrusted values first.
+    Raises InvalidRecordError if a field holds the delimiter, a line
+    break or a leading or trailing space (decoding trims one space beside
+    each delimiter), if the id is not a non-empty digit string or if the
+    location is empty; callers run sanitize_field over untrusted values
+    first. The checks run once on the joined line: no proper prefix of
+    "<8>" is also its suffix, so no occurrence straddles a field edge, and
+    the line holds six exactly when no field holds one.
     """
-    record.validate()
-    return DELIMITER.join(record.fields())
+    line = DELIMITER.join(record.fields())
+    if line.count(DELIMITER) != len(FIELD_NAMES) - 1:
+        raise InvalidRecordError(f"a field contains the {DELIMITER!r} delimiter")
+    if "\n" in line or "\r" in line:
+        raise InvalidRecordError("a field contains a line break")
+    if (line.startswith(" ") or line.endswith(" ")
+            or " " + DELIMITER in line or DELIMITER + " " in line):
+        raise InvalidRecordError("a field has leading or trailing space")
+    if not record.id.isdigit():
+        raise InvalidRecordError("id must be a non-empty decimal-digit string")
+    if not record.location:
+        raise InvalidRecordError("location must be non-empty")
+    return line
 
 
 def _trim_field(field: str) -> str:
@@ -122,22 +119,19 @@ def decode_record(line: str) -> TweetRecord:
 
 @dataclass(frozen=True)
 class FileLocator:
-    """Calendar date, hour and kind identifying one output file."""
+    """Calendar date and hour identifying one crawl file and its processed file."""
 
     date: date
     hour: int
-    kind: str = KIND_CRAWL
 
     def __post_init__(self) -> None:
         if not 0 <= self.hour <= 23:
             raise ValueError(f"hour out of range: {self.hour}")
-        if self.kind not in (KIND_CRAWL, KIND_PROCESSED):
-            raise ValueError(f"unknown kind: {self.kind}")
 
     @classmethod
-    def from_timestamp_ms(cls, ts_ms: int, kind: str = KIND_CRAWL) -> "FileLocator":
+    def from_timestamp_ms(cls, ts_ms: int) -> "FileLocator":
         dt = datetime.fromtimestamp(ts_ms / 1000.0, tz=timezone.utc)
-        return cls(date=dt.date(), hour=dt.hour, kind=kind)
+        return cls(date=dt.date(), hour=dt.hour)
 
 
 def _hour_token(hour: int) -> str:
@@ -151,15 +145,11 @@ def _date_token(d: date) -> str:
 
 def crawl_file_path(loc: FileLocator, root: str = "./data") -> str:
     """Path of the crawl file for a date/hour: <root>/<MM-DD-YYYY>/tweets-<HH> <AM|PM>.txt"""
-    if loc.kind != KIND_CRAWL:
-        raise ValueError("locator kind must be 'crawl'")
     return f"{root}/{_date_token(loc.date)}/tweets-{_hour_token(loc.hour)}.txt"
 
 
 def processed_file_path(loc: FileLocator, root: str = "./data") -> str:
     """Path of the processed file: <root>/<MM-DD-YYYY>-tweets-<HH> <AM|PM>.json"""
-    if loc.kind != KIND_PROCESSED:
-        raise ValueError("locator kind must be 'processed'")
     return f"{root}/{_date_token(loc.date)}-tweets-{_hour_token(loc.hour)}.json"
 
 
@@ -178,4 +168,4 @@ def parse_crawl_file_path(path: str) -> FileLocator:
         raise ValueError(f"hour out of range in path: {path!r}")
     if meridiem != ("AM" if hour_n < 12 else "PM"):
         raise ValueError(f"hour/meridiem mismatch in path: {path!r}")
-    return FileLocator(date=date(int(year), int(month), int(day)), hour=hour_n, kind=KIND_CRAWL)
+    return FileLocator(date=date(int(year), int(month), int(day)), hour=hour_n)

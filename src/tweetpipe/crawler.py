@@ -1,9 +1,10 @@
 """Rate-limited crawl loop against the search API.
 
-One logical loop: throttle, fetch a page, filter out tweets without a
-usable location or language, drop ids already seen, prefix the text with
-"OT " or "RT ", sanitize, and append delimited lines to the file for the
-hour the page was fetched in.
+One logical loop: throttle, fetch a page, turn each status into its
+sanitized record with the text prefixed "OT " or "RT ", filter out
+records without a usable location or language, drop ids already seen,
+and append delimited lines to the file for the hour the page was
+fetched in.
 
 The loop paces itself at a fixed interval and additionally throttles
 against the 450-requests-per-15-minute window, computing window
@@ -40,7 +41,6 @@ from .firehose import (
     Credentials,
     RateLimitError,
     RateWindow,
-    RawTweet,
 )
 from .ledger import LineLog
 
@@ -99,20 +99,6 @@ class CrawlStats:
             )
 
 
-def filter_reason(t: RawTweet) -> str | None:
-    """None if the tweet is usable, else which filter rejected it."""
-    if not t.location.strip():
-        return "no_location"
-    if t.lang in ("", "und"):
-        return "no_lang"
-    return None
-
-
-def prefix_text(t: RawTweet) -> str:
-    """Mark the text as original ("OT ") or retweet ("RT ")."""
-    return ("RT " if t.is_retweet else "OT ") + t.text
-
-
 def throttle(window: RateWindow, now_ms: int) -> int:
     """Milliseconds to wait before the next request may be issued.
 
@@ -125,19 +111,29 @@ def throttle(window: RateWindow, now_ms: int) -> int:
     return max(0, window.reset_at_ms() - now_ms)
 
 
-def parse_status(status: dict) -> RawTweet | None:
-    """Convert one JSON status object to a RawTweet; None if malformed."""
+def parse_status(status: dict) -> TweetRecord | None:
+    """The record to store for one JSON status object; None if malformed.
+
+    Every field is sanitized, after the text is prefixed "OT " (original)
+    or "RT " (retweet), so whatever reaches the file is encodable. An
+    id_str that is not a non-empty string of ASCII digits is malformed.
+    """
     try:
         user = status["user"]
-        return RawTweet(
-            creation_date=str(status["created_at"]),
-            id=int(str(status["id_str"])),
-            lang=str(status["lang"]),
-            location=str(user["location"]),
-            name=str(user["name"]),
-            username=str(user["screen_name"]),
-            text=str(status["text"]),
-            is_retweet=bool(status["retweeted_status_present"]),
+        id_str = status["id_str"]
+        if not (isinstance(id_str, str) and id_str.isascii() and id_str.isdigit()):
+            return None
+        prefix = "RT " if status["retweeted_status_present"] else "OT "
+        return TweetRecord(
+            creation_date=sanitize_field(str(status["created_at"])),
+            # int() drops leading zeros, as SeenIds keys ids, and raises
+            # ValueError past its digit limit.
+            id=str(int(id_str)),
+            lang=sanitize_field(str(status["lang"])),
+            location=sanitize_field(str(user["location"])),
+            name=sanitize_field(str(user["name"])),
+            username=sanitize_field(str(user["screen_name"])),
+            text=sanitize_field(prefix + str(status["text"])),
         )
     except (KeyError, TypeError, ValueError):
         return None
@@ -308,20 +304,6 @@ def _reset_at(resp: http.client.HTTPResponse, page: dict | None, now_ms: int) ->
     return (now_ms // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
 
 
-def _to_record(t: RawTweet) -> TweetRecord:
-    # Sanitize at persist time, after prefixing, so whatever reaches the
-    # file is always encodable.
-    return TweetRecord(
-        creation_date=sanitize_field(t.creation_date),
-        id=str(t.id),
-        lang=sanitize_field(t.lang),
-        location=sanitize_field(t.location),
-        name=sanitize_field(t.name),
-        username=sanitize_field(t.username),
-        text=sanitize_field(prefix_text(t)),
-    )
-
-
 def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
     """Run the crawl loop until the duration or request budget runs out.
 
@@ -375,23 +357,22 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
 
                 page_records: list[TweetRecord] = []
                 for status in statuses:
-                    tweet = parse_status(status)
-                    if tweet is None:
+                    record = parse_status(status)
+                    if record is None:
                         # No field values: the status carries the author's identity.
                         log.warning("malformed status skipped: missing or invalid field")
                         continue
                     stats.tweets_seen += 1
-                    reason = filter_reason(tweet)
-                    if reason == "no_location":
+                    if not record.location:
                         stats.filtered_no_location += 1
                         continue
-                    if reason == "no_lang":
+                    if record.lang in ("", "und"):
                         stats.filtered_no_lang += 1
                         continue
-                    if not seen.add(tweet.id):
+                    if not seen.add(int(record.id)):
                         stats.duplicates_dropped += 1
                         continue
-                    page_records.append(_to_record(tweet))
+                    page_records.append(record)
                     stats.tweets_kept += 1
                 writer.write_page(page_records, now)
 

@@ -1,5 +1,6 @@
 """Append-only compliance ledger, and the line log under it, the vault,
-the directory sinks and the crawl files.
+the directory sinks and the crawl files; and the one writer of whole
+files, which replaces them.
 
 Every data handover, erasure, consent and breach notification is one
 JSON object on its own line, numbered by a gapless sequence that
@@ -15,6 +16,7 @@ import json
 import logging
 import mmap
 import os
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 
 from .clock import SystemClock
@@ -141,6 +143,26 @@ class LineLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@contextmanager
+def replaced_text(path, newline: str):
+    """A UTF-8 text handle whose contents replace the file at path.
+
+    The text goes to path + ".tmp" in the same directory, which
+    os.replace then moves over path when the block ends, so a reader
+    sees the old file or the whole new one, never one cut short. On an
+    error the temporary file is removed and path is left as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class ComplianceLedger(LineLog):

@@ -24,15 +24,13 @@ from json.encoder import encode_basestring
 
 from .analyzer import ParseError
 from .codec import (
-    KIND_PROCESSED,
     FieldCountError,
-    FileLocator,
     TweetRecord,
     decode_record,
     parse_crawl_file_path,
     processed_file_path,
 )
-from .ledger import LineLog
+from .ledger import LineLog, replaced_text
 
 log = logging.getLogger(__name__)
 
@@ -182,11 +180,6 @@ class ProcessedTweet(TweetRecord):
         if self.city is not None and self.country is None:
             raise ValueError("a city match implies its country")
 
-    @classmethod
-    def from_record(cls, record: TweetRecord, gazetteer: Gazetteer) -> "ProcessedTweet":
-        country, city = detect_location(record.location, gazetteer)
-        return cls(*record.fields(), country=country, city=city)
-
 
 # One record as json.dump(..., ensure_ascii=False, indent=2) lays it out
 # inside the array, with a {} slot per field value in field order.
@@ -215,12 +208,12 @@ def write_processed(records, fh) -> None:
 def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[ProcessedTweet], int]:
     """Process one crawl file; returns (records, skipped line count).
 
-    The output JSON array lands at the processed path for the input
-    file's date and hour, rooted at out_root. Undecodable lines (not
-    seven fields, or not UTF-8) are skipped and counted, not fatal. The
-    file is read as a LineLog, so a final line without a newline is torn,
-    not a record: it is counted as skipped, with one warning that gives
-    its byte offset.
+    The output JSON array replaces, as a whole, the file at the processed
+    path for the input file's date and hour, rooted at out_root.
+    Undecodable lines (not seven fields, or not UTF-8) are skipped and
+    counted, not fatal. The file is read as a LineLog, so a final line
+    without a newline is torn, not a record: it is counted as skipped,
+    with one warning that gives its byte offset.
     """
     crawl_loc = parse_crawl_file_path(in_path)
     crawl_log = LineLog(in_path)
@@ -238,14 +231,14 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
             skipped += 1
             log.warning("%s:%d: not valid UTF-8", in_path, line_num)
             continue
-        records.append(ProcessedTweet.from_record(record, gazetteer))
+        country, city = detect_location(record.location, gazetteer)
+        records.append(ProcessedTweet(*record.fields(), country=country, city=city))
     if crawl_log.torn_at is not None:
         skipped += 1
 
-    out_loc = FileLocator(date=crawl_loc.date, hour=crawl_loc.hour, kind=KIND_PROCESSED)
-    out_path = processed_file_path(out_loc, root=out_root)
+    out_path = processed_file_path(crawl_loc, root=out_root)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with replaced_text(out_path, newline="\n") as fh:
         write_processed(records, fh)
     log.info("processed %s: %d records, %d skipped -> %s",
              in_path, len(records), skipped, out_path)

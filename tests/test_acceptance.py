@@ -19,8 +19,6 @@ from tweetpipe.analyzer import AnalysisRow, BUILTIN_SPECS, analyze
 from tweetpipe.clock import VirtualClock
 from tweetpipe.codec import (
     FileLocator,
-    KIND_CRAWL,
-    KIND_PROCESSED,
     TweetRecord,
     crawl_file_path,
     decode_record,
@@ -28,7 +26,7 @@ from tweetpipe.codec import (
     processed_file_path,
     sanitize_field,
 )
-from tweetpipe.crawler import CrawlConfig, prefix_text, run_crawl
+from tweetpipe.crawler import CrawlConfig, parse_status, run_crawl
 from tweetpipe.firehose import (
     Credentials,
     FirehoseEngine,
@@ -49,7 +47,7 @@ from tweetpipe.gateway import (
     user_key_for,
 )
 from tweetpipe.ledger import ComplianceLedger
-from tweetpipe.processor import ProcessedTweet, default_gazetteer
+from tweetpipe.processor import ProcessedTweet, default_gazetteer, detect_location
 from tweetpipe.pruner import ORDER_COUNT_DESC, ORDER_KEY_ASC, PruneConfig, prune
 
 MODULE_STARTED = time.monotonic()
@@ -214,12 +212,12 @@ def test_criterion_04_codec_round_trip(dup_run, next_run, hour_run):
 
 
 def test_criterion_05_byte_exact_paths():
-    evening = FileLocator.from_timestamp_ms(1_567_887_243_000, KIND_CRAWL)
-    morning = FileLocator.from_timestamp_ms(1_567_922_400_000, KIND_PROCESSED)
+    evening = FileLocator.from_timestamp_ms(1_567_887_243_000)
+    morning = FileLocator.from_timestamp_ms(1_567_922_400_000)
     crawl_path = crawl_file_path(evening)
     processed_path = processed_file_path(morning)
     ok = (
-        evening == FileLocator(dt.date(2019, 9, 7), 20, KIND_CRAWL)
+        evening == FileLocator(dt.date(2019, 9, 7), 20)
         and crawl_path == "./data/09-07-2019/tweets-20 PM.txt"
         and processed_path == "./data/09-08-2019-tweets-06 AM.json"
     )
@@ -249,16 +247,10 @@ def test_criterion_06_filtering_and_stats_identity(dup_run, next_run, hour_run):
 
 
 def to_processed(raw, gazetteer):
-    record = TweetRecord(
-        creation_date=sanitize_field(raw.creation_date),
-        id=str(raw.id),
-        lang=sanitize_field(raw.lang),
-        location=sanitize_field(raw.location) or "unknown",
-        name=sanitize_field(raw.name),
-        username=sanitize_field(raw.username),
-        text=sanitize_field(prefix_text(raw)),
-    )
-    return ProcessedTweet.from_record(record, gazetteer)
+    """The record the crawler would store for raw, with its location verdict."""
+    record = parse_status(raw.to_status())
+    country, city = detect_location(record.location, gazetteer)
+    return ProcessedTweet(*record.fields(), country=country, city=city)
 
 
 def test_criterion_07_no_identifier_leaks(tmp_path):

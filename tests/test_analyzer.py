@@ -233,6 +233,21 @@ def test_write_csv_quotes_embedded_commas(tmp_path):
         assert fh.read() == 'key,count\n"a,b",1\n'
 
 
+def test_write_csv_failing_halfway_keeps_the_old_file(tmp_path):
+    path = write_csv("t", [AnalysisRow("a", 1)], str(tmp_path))
+    old = tmp_path.joinpath("t.csv").read_bytes()
+
+    def rows():
+        yield AnalysisRow("b", 2)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        write_csv("t", rows(), str(tmp_path))
+    assert tmp_path.joinpath("t.csv").read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert read_rows_csv(path) == [AnalysisRow("a", 1)]
+
+
 def test_csv_round_trip(tmp_path):
     rows = [AnalysisRow("x", 3), AnalysisRow("a,b", 2), AnalysisRow("z", 1)]
     path = write_csv("t", rows, str(tmp_path))

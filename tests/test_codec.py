@@ -1,17 +1,17 @@
 """Record codec and file-naming tests."""
 
 import datetime as dt
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tweetpipe.codec import (
     DELIMITER,
     FieldCountError,
     FileLocator,
+    FIELD_NAMES,
     InvalidRecordError,
-    KIND_CRAWL,
-    KIND_PROCESSED,
     TweetRecord,
     crawl_file_path,
     decode_record,
@@ -162,21 +162,86 @@ def test_round_trip_on_sanitized_fields(**fields):
     assert decode_record(encode_record(rec)) == rec
 
 
+def reference_validate(record: TweetRecord) -> None:
+    """The codec invariants checked field by field, as encode_record
+    once did; encode_record now checks them on the joined line."""
+    for field_name, value in zip(FIELD_NAMES, record.fields()):
+        if DELIMITER in value:
+            raise InvalidRecordError(f"{field_name} contains the {DELIMITER!r} delimiter")
+        if "\n" in value or "\r" in value:
+            raise InvalidRecordError(f"{field_name} contains a line break")
+        if value.startswith(" ") or value.endswith(" "):
+            raise InvalidRecordError(f"{field_name} has leading or trailing space")
+    if not record.id or not record.id.isdigit():
+        raise InvalidRecordError("id must be a non-empty decimal-digit string")
+    if not record.location:
+        raise InvalidRecordError("location must be non-empty")
+
+
+# Ways to spoil a field: each breaks one rule, or half-builds a delimiter
+# that a neighbouring field may complete.
+_SPOILERS = (
+    lambda v: " " + v, lambda v: v + " ", lambda v: " ", lambda v: "",
+    lambda v: v + "<8>", lambda v: "<8>" + v, lambda v: v + "<8", lambda v: "8>" + v,
+    lambda v: v + "<", lambda v: v + "8", lambda v: ">" + v,
+    lambda v: v[:1] + "\r" + v[1:], lambda v: v + "\n", lambda v: "\r\n" + v,
+)
+
+
+@st.composite
+def edge_records(draw):
+    """A valid record with one to three spoilers applied to its fields, so
+    that a record often breaks one rule alone, at either end of the line or
+    beside a delimiter, and sometimes several."""
+    fields = [draw(st.text(alphabet="a9<>", min_size=1, max_size=4)) for _ in FIELD_NAMES]
+    fields[FIELD_NAMES.index("id")] = draw(st.text(alphabet="0123456789", min_size=1))
+    spoils = st.tuples(st.integers(0, len(FIELD_NAMES) - 1), st.sampled_from(_SPOILERS))
+    for i, spoil in draw(st.lists(spoils, min_size=1, max_size=3)):
+        fields[i] = spoil(fields[i])
+    return TweetRecord(*fields)
+
+
+def assert_encode_agrees_with_reference(record: TweetRecord) -> None:
+    try:
+        reference_validate(record)
+    except InvalidRecordError:
+        with pytest.raises(InvalidRecordError):
+            encode_record(record)
+    else:
+        assert decode_record(encode_record(record)) == record
+
+
+@settings(max_examples=300)
+@given(record=edge_records())
+# Half delimiters on both sides of a field edge make no delimiter.
+@example(record=make_record(lang="<8", location="8>"))
+def test_encode_rejects_exactly_what_the_field_checks_reject(record):
+    assert_encode_agrees_with_reference(record)
+
+
+def test_encode_agrees_with_the_field_checks_on_every_single_spoil():
+    valid = make_record(text="OT a")
+    for name in FIELD_NAMES:
+        for spoil in _SPOILERS:
+            record = replace(valid, **{name: spoil(getattr(valid, name))})
+            assert_encode_agrees_with_reference(record)
+
+
 # ----------------------------------------------------------------- paths
 
 
 def test_crawl_path_evening():
-    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20, kind=KIND_CRAWL)
+    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20)
     assert crawl_file_path(loc) == "./data/09-07-2019/tweets-20 PM.txt"
 
 
 def test_processed_path_morning():
-    loc = FileLocator(date=dt.date(2019, 9, 8), hour=6, kind=KIND_PROCESSED)
+    loc = FileLocator(date=dt.date(2019, 9, 8), hour=6)
     assert processed_file_path(loc) == "./data/09-08-2019-tweets-06 AM.json"
 
 
 def test_paths_accept_custom_root():
-    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20, kind=KIND_CRAWL)
+    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20)
     assert crawl_file_path(loc, root="/tmp/x") == "/tmp/x/09-07-2019/tweets-20 PM.txt"
 
 
@@ -185,30 +250,24 @@ def test_paths_accept_custom_root():
     [(0, "00 AM"), (11, "11 AM"), (12, "12 PM"), (23, "23 PM")],
 )
 def test_hour_formatting_and_meridiem(hour, expect):
-    loc = FileLocator(date=dt.date(2020, 1, 2), hour=hour, kind=KIND_CRAWL)
+    loc = FileLocator(date=dt.date(2020, 1, 2), hour=hour)
     assert crawl_file_path(loc).endswith(f"tweets-{expect}.txt")
 
 
 def test_locator_from_timestamp_uses_utc():
     ts = int(dt.datetime(2019, 9, 7, 20, 14, 3, tzinfo=dt.timezone.utc).timestamp() * 1000)
-    loc = FileLocator.from_timestamp_ms(ts, KIND_CRAWL)
+    loc = FileLocator.from_timestamp_ms(ts)
     assert loc.date == dt.date(2019, 9, 7)
     assert loc.hour == 20
 
 
 def test_locator_rejects_bad_hour():
     with pytest.raises(ValueError):
-        FileLocator(date=dt.date(2020, 1, 1), hour=24, kind=KIND_CRAWL)
-
-
-def test_path_helpers_check_kind():
-    loc = FileLocator(date=dt.date(2020, 1, 1), hour=3, kind=KIND_PROCESSED)
-    with pytest.raises(ValueError):
-        crawl_file_path(loc)
+        FileLocator(date=dt.date(2020, 1, 1), hour=24)
 
 
 def test_parse_crawl_file_path_round_trip():
-    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20, kind=KIND_CRAWL)
+    loc = FileLocator(date=dt.date(2019, 9, 7), hour=20)
     parsed = parse_crawl_file_path(crawl_file_path(loc, root="/srv/data"))
     assert parsed == loc
 

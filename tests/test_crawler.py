@@ -16,9 +16,7 @@ from tweetpipe.crawler import (
     HourlyRecordWriter,
     SearchClient,
     SeenIds,
-    filter_reason,
     parse_status,
-    prefix_text,
     run_crawl,
     throttle,
 )
@@ -56,6 +54,15 @@ def make_tweet(**overrides):
 # ------------------------------------------------------------------ filter
 
 
+def crawl_page(scripted_server, tmp_path, statuses):
+    """Crawl one page serving the statuses; (stats, stored records)."""
+    url, handler = scripted_server
+    handler.page = {"statuses": statuses, "next": "tok"}
+    cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), max_requests=1)
+    stats = run_crawl(cfg, clock=VirtualClock(T0))
+    return stats, [decode_record(line) for line in read_crawl_lines(tmp_path)]
+
+
 @pytest.mark.parametrize(
     "location,lang,keep",
     [
@@ -67,20 +74,27 @@ def make_tweet(**overrides):
         ("the moon", "hi", True),  # junk locations pass; resolution is later
     ],
 )
-def test_filter_tweet(location, lang, keep):
-    assert (filter_reason(make_tweet(location=location, lang=lang)) is None) is keep
+def test_filter_tweet(scripted_server, tmp_path, location, lang, keep):
+    stats, records = crawl_page(scripted_server, tmp_path,
+                                [make_tweet(location=location, lang=lang).to_status()])
+    assert stats.tweets_seen == 1
+    assert (stats.tweets_kept == 1) is keep
+    assert len(records) == stats.tweets_kept
 
 
-def test_filter_reason_prefers_location():
-    assert filter_reason(make_tweet(location="", lang="und")) == "no_location"
-    assert filter_reason(make_tweet(lang="und")) == "no_lang"
-    assert filter_reason(make_tweet()) is None
+def test_filter_reason_prefers_location(scripted_server, tmp_path):
+    tweets = [make_tweet(id=1, location="", lang="und"), make_tweet(id=2, lang="und"),
+              make_tweet(id=3)]
+    stats, records = crawl_page(scripted_server, tmp_path, [t.to_status() for t in tweets])
+    assert (stats.filtered_no_location, stats.filtered_no_lang, stats.tweets_kept) == (1, 1, 1)
+    assert [r.id for r in records] == ["3"]
 
 
 def test_prefix_text():
-    assert prefix_text(make_tweet(text="hi")) == "OT hi"
-    assert prefix_text(make_tweet(text="hi", is_retweet=True)) == "RT hi"
-    assert prefix_text(make_tweet(text="")) == "OT "
+    assert parse_status(make_tweet(text="hi").to_status()).text == "OT hi"
+    assert parse_status(make_tweet(text="hi", is_retweet=True).to_status()).text == "RT hi"
+    # The prefix is sanitized with the text, so its space goes when the text is empty.
+    assert parse_status(make_tweet(text="").to_status()).text == "OT"
 
 
 # ---------------------------------------------------------------- throttle
@@ -109,7 +123,26 @@ def test_throttle_rolls_stale_window():
 
 def test_parse_status_round_trip():
     tweet = make_tweet()
-    assert parse_status(tweet.to_status()) == tweet
+    assert parse_status(tweet.to_status()) == TweetRecord(
+        creation_date=tweet.creation_date,
+        id=str(tweet.id),
+        lang=tweet.lang,
+        location=tweet.location,
+        name=tweet.name,
+        username=tweet.username,
+        text="OT " + tweet.text,
+    )
+
+
+def test_parse_status_sanitizes_every_field():
+    tweet = make_tweet(
+        creation_date=" Sat Sep 07\n", lang="en ", location="  Delhi<8>India\r\n",
+        name="Asha\nRao ", username=" asha<8>", text="two\r\nlines <8>", is_retweet=True,
+    )
+    assert parse_status(tweet.to_status()) == TweetRecord(
+        creation_date="Sat Sep 07", id=str(tweet.id), lang="en", location="Delhi<8 >India",
+        name="Asha Rao", username="asha<8 >", text="RT two lines <8 >",
+    )
 
 
 @pytest.mark.parametrize(
@@ -119,6 +152,14 @@ def test_parse_status_round_trip():
         lambda s: s.pop("id_str"),
         lambda s: s.__setitem__("id_str", "not-a-number"),
         lambda s: s.__setitem__("user", None),
+        lambda s: s.__setitem__("id_str", "-5"),
+        lambda s: s.__setitem__("id_str", "1_000"),
+        lambda s: s.__setitem__("id_str", "\u0665"),  # ARABIC-INDIC DIGIT FIVE
+        lambda s: s.__setitem__("id_str", ""),
+        lambda s: s.__setitem__("id_str", " 5"),
+        lambda s: s.__setitem__("id_str", 5),
+        lambda s: s.pop("retweeted_status_present"),
+        lambda s: s.__setitem__("id_str", "1" * 5000),  # past int()'s digit limit
     ],
 )
 def test_parse_status_rejects_malformed(mangle):
@@ -546,6 +587,33 @@ def test_malformed_status_log_carries_no_identifier(scripted_server, tmp_path, c
     assert "malformed status skipped" in caplog.text
     for value in (tweet.username, tweet.name, tweet.location, str(tweet.id), tweet.text):
         assert value not in caplog.text
+
+
+def test_run_crawl_skips_a_negative_id_and_goes_on(scripted_server, tmp_path):
+    bad = make_tweet(id=1).to_status()
+    bad["id_str"] = "-5"
+    stats, records = crawl_page(scripted_server, tmp_path, [bad, make_tweet(id=2).to_status()])
+    assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
+    assert [r.id for r in records] == ["2"]
+
+
+def test_run_crawl_skips_ids_that_int_would_accept(scripted_server, tmp_path):
+    statuses = []
+    for i, id_str in enumerate(["1_000", "\u0665"]):  # the latter is ARABIC-INDIC DIGIT FIVE
+        status = make_tweet(id=i).to_status()
+        status["id_str"] = id_str
+        statuses.append(status)
+    statuses.append(make_tweet(id=7).to_status())
+    stats, records = crawl_page(scripted_server, tmp_path, statuses)
+    assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
+    assert [r.id for r in records] == ["7"]
+
+
+def test_run_crawl_filters_blank_and_padded_undetected_lang(scripted_server, tmp_path):
+    tweets = [make_tweet(id=1, lang="  "), make_tweet(id=2, lang=" und")]
+    stats, records = crawl_page(scripted_server, tmp_path, [t.to_status() for t in tweets])
+    assert (stats.tweets_seen, stats.filtered_no_lang, stats.tweets_kept) == (2, 2, 0)
+    assert records == []
 
 
 def test_run_crawl_respects_duration(tmp_path):

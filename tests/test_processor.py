@@ -261,8 +261,9 @@ def make_record(**overrides):
     return TweetRecord(**base)
 
 
-def test_from_record_attaches_verdict():
-    pt = ProcessedTweet.from_record(make_record(), WORLD)
+def test_process_file_attaches_verdict(tmp_path):
+    in_path = write_crawl_file(tmp_path, [encode_record(make_record())])
+    [pt], _ = process_file(in_path, WORLD, out_root=str(tmp_path))
     assert (pt.country, pt.city) == ("India", "Delhi")
     assert pt.id == "1170447725900742656"
     assert pt.text == "OT morning chai"
@@ -304,6 +305,23 @@ def test_process_file_writes_sibling_json(tmp_path):
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert [d["id"] for d in payload] == ["100", "101", "102"]
     assert payload[0]["country"] == "India"
+
+
+def test_process_file_failing_halfway_keeps_the_old_json(tmp_path, monkeypatch):
+    in_path = write_crawl_file(tmp_path, [encode_record(make_record())])
+    process_file(in_path, WORLD, out_root=str(tmp_path))
+    out_path = tmp_path / "09-08-2019-tweets-06 AM.json"
+    old = out_path.read_bytes()
+
+    def write_half(records, fh):
+        fh.write("[\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("tweetpipe.processor.write_processed", write_half)
+    with pytest.raises(OSError):
+        process_file(in_path, WORLD, out_root=str(tmp_path))
+    assert out_path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["09-08-2019", out_path.name]
 
 
 def test_process_file_counts_corrupt_lines(tmp_path):

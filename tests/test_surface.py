@@ -1,6 +1,6 @@
 """Every public def and class in the package has a caller outside the tests,
-only the line log appends to files, and only the entry reader splits
-``name: value`` lines.
+only the line log appends to files, only ``ledger.py`` opens a file for
+writing, and only the entry reader splits ``name: value`` lines.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -65,10 +65,11 @@ def test_no_public_api_is_used_only_by_tests():
 
 
 APPEND_MODE = re.compile(r"[rwxbt+]*a[rwxbt+]*")
+WRITE_MODE = re.compile(r"[raxbt+]*w[raxbt+]*")
 
 
-def append_opens(tree: ast.Module):
-    """Line number of each open(...) or x.open(...) call given an append mode."""
+def mode_opens(tree: ast.Module, mode: re.Pattern):
+    """Line number of each open(...) or x.open(...) call given a matching mode."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -78,18 +79,27 @@ def append_opens(tree: ast.Module):
             continue
         for arg in [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]:
             if (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                    and APPEND_MODE.fullmatch(arg.value)):
+                    and mode.fullmatch(arg.value)):
                 yield node.lineno
 
 
-def test_only_the_line_log_appends_to_files():
-    found = [
+def opens_outside_ledger(mode: re.Pattern) -> list[str]:
+    return [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "ledger.py"
-        for line in append_opens(ast.parse(path.read_text(encoding="utf-8")))
+        for line in mode_opens(ast.parse(path.read_text(encoding="utf-8")), mode)
     ]
-    assert found == []
+
+
+def test_only_the_line_log_appends_to_files():
+    assert opens_outside_ledger(APPEND_MODE) == []
+
+
+def test_only_the_ledger_module_writes_files():
+    # Whole files are written through ledger.replaced_text, which replaces
+    # them, so a crash never leaves one cut short.
+    assert opens_outside_ledger(WRITE_MODE) == []
 
 
 def colon_partitions(tree: ast.Module):
