@@ -35,7 +35,6 @@ from .firehose import (
     DEFAULT_APP_SECRET,
     Credentials,
     FirehoseEngine,
-    MockFirehoseServer,
     TweetFactory,
 )
 from .gateway import CategoryRules, PrivacyGateway, ServiceRegistry, Vault
@@ -84,6 +83,8 @@ def _seed(args) -> int:
 
 
 def cmd_mock_serve(args) -> int:
+    from .mockserver import MockFirehoseServer
+
     engine = FirehoseEngine(
         seed=_seed(args),
         duplicate_mode=args.duplicate_mode,
@@ -238,6 +239,8 @@ def cmd_ledger(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .mockserver import MockFirehoseServer
+
     seed = _seed(args)
     start_ms = args.virtual_clock if args.virtual_clock is not None else 0
     clock = VirtualClock(start_ms=start_ms)

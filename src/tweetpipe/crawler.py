@@ -15,7 +15,6 @@ All waiting goes through an injectable clock; under a virtual clock an
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import select
@@ -115,25 +114,30 @@ def parse_status(status: dict) -> TweetRecord | None:
     """The record to store for one JSON status object; None if malformed.
 
     Every field is sanitized, after the text is prefixed "OT " (original)
-    or "RT " (retweet), so whatever reaches the file is encodable. An
-    id_str that is not a non-empty string of ASCII digits is malformed.
+    or "RT " (retweet), so whatever reaches the file is encodable. The
+    API marks user.location and lang nullable: null reads as empty, which
+    the crawl then filters. Any other field that is not a string, a
+    retweet flag that is not a boolean, or an id_str that is not a
+    non-empty string of ASCII digits makes the status malformed.
     """
     try:
         user = status["user"]
-        id_str = status["id_str"]
-        if not (isinstance(id_str, str) and id_str.isascii() and id_str.isdigit()):
+        id_str, retweet = status["id_str"], status["retweeted_status_present"]
+        if not (isinstance(id_str, str) and id_str.isascii() and id_str.isdigit()
+                and isinstance(retweet, bool)):
             return None
-        prefix = "RT " if status["retweeted_status_present"] else "OT "
+        location, lang = user["location"], status["lang"]
+        # sanitize_field raises TypeError on any value that is not a string.
         return TweetRecord(
-            creation_date=sanitize_field(str(status["created_at"])),
+            creation_date=sanitize_field(status["created_at"]),
             # int() drops leading zeros, as SeenIds keys ids, and raises
             # ValueError past its digit limit.
             id=str(int(id_str)),
-            lang=sanitize_field(str(status["lang"])),
-            location=sanitize_field(str(user["location"])),
-            name=sanitize_field(str(user["name"])),
-            username=sanitize_field(str(user["screen_name"])),
-            text=sanitize_field(prefix + str(status["text"])),
+            lang=sanitize_field("" if lang is None else lang),
+            location=sanitize_field("" if location is None else location),
+            name=sanitize_field(user["name"]),
+            username=sanitize_field(user["screen_name"]),
+            text=sanitize_field(("RT " if retweet else "OT ") + status["text"]),
         )
     except (KeyError, TypeError, ValueError):
         return None
@@ -217,6 +221,8 @@ class SearchClient:
     BACKOFF_START_MS = 1000
 
     def __init__(self, endpoint: str, creds: Credentials, clock):
+        import http.client  # here, so that importing the crawler loads no HTTP code
+
         url = urlsplit(endpoint.rstrip("/") + SEARCH_PATH)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {endpoint!r}")
@@ -233,6 +239,8 @@ class SearchClient:
 
     def search(self, count: int, next_token: str | None) -> tuple[list, str | None]:
         """Fetch one page; returns (status dicts, next token)."""
+        import http.client
+
         params: dict = {"count": count}
         if next_token is not None:
             params["next"] = next_token

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import re
-import secrets
 from dataclasses import dataclass
 from importlib import resources
-from urllib.request import Request, urlopen
 
 from .analyzer import ParseError, read_entries
 from .clock import SystemClock
@@ -162,7 +161,7 @@ class Vault(LineLog):
 
     def __init__(self, path, rng=None, clock=None):
         super().__init__(path)
-        self._rng = secrets.SystemRandom() if rng is None else rng
+        self._rng = random.SystemRandom() if rng is None else rng
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
@@ -306,6 +305,8 @@ class HttpSink:
 
     def deliver(self, bundle: CategoryBundle) -> None:
         """POST the bundle; a non-2xx response raises urllib's HTTPError."""
+        from urllib.request import Request, urlopen  # only HTTP sinks load it
+
         request = Request(
             self.url,
             data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),

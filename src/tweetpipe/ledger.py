@@ -29,6 +29,10 @@ EVENT_CONSENT = "consent"
 EVENT_BREACH = "breach_notice"
 EVENTS = (EVENT_DISCLOSURE, EVENT_ERASURE, EVENT_CONSENT, EVENT_BREACH)
 
+# One call of the C JSON scanner: (value, end) of the value at the start
+# of a str.
+_scan = json.JSONDecoder().raw_decode
+
 
 class ValidationError(ValueError):
     """Entry fields do not satisfy the per-event requirements."""
@@ -86,16 +90,28 @@ class LineLog:
 
     def _replay(self, needle: bytes = b""):
         """Yield (line_num, obj) for each committed non-blank line containing
-        needle, parsed as a JSON object; nothing if the file does not exist."""
+        needle, parsed as a JSON object; nothing if the file does not exist.
+
+        One scanner call decodes a line that is exactly one JSON value. Any
+        other line (blank, padded, corrupt, not UTF-8, or with more after
+        the value) goes through json.loads, whose verdict and message stand.
+        """
         if not os.path.exists(self.path):
             return
         for line_num, line in self.lines(needle):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line.decode("utf-8"))
-            except ValueError as exc:
-                raise self._error_at(line_num, f"corrupt line: {exc}")
+                text = line.decode()
+                obj, end = _scan(text)
+                exact = end == len(text)
+            except ValueError:
+                exact = False
+            if not exact:
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise self._error_at(line_num, f"corrupt line: {exc}")
             if not isinstance(obj, dict):
                 raise self._error_at(line_num, "line is not a JSON object")
             yield line_num, obj
@@ -168,8 +184,9 @@ def replaced_text(path, newline: str):
 class ComplianceLedger(LineLog):
     """Durable audit log with per-event validation.
 
-    Records are flushed and fsynced before `record` returns (set
-    fsync=False to trade durability for bulk speed); a torn final entry
+    Entries are flushed and fsynced before `record` or `record_breach`
+    returns (set fsync=False to trade durability for bulk speed); a
+    breach batch is one append and one fsync. A torn final entry
     is cut as LineLog describes. On open, an existing file is
     replayed once to resume the sequence gaplessly. No entry stays in
     memory: reports stream the file again.
@@ -211,6 +228,27 @@ class ComplianceLedger(LineLog):
         Fields that make no sense for an event are rejected rather than
         silently dropped.
         """
+        self._commit([self._entry(self._seq + 1, event, subject_code, beneficiary, purpose,
+                                  retention_days, minor)])
+        return self._seq
+
+    def record_breach(self, affected_codes) -> list[int]:
+        """One breach_notice entry per affected code; returns their seqs.
+
+        Every code is checked before any entry is written; then the batch
+        goes out in one append and one fsync.
+        """
+        codes = list(affected_codes)
+        if not codes:
+            raise ValidationError("a breach notice needs at least one affected code")
+        entries = [self._entry(self._seq + i, EVENT_BREACH, code)
+                   for i, code in enumerate(codes, 1)]
+        self._commit(entries)
+        return [e["seq"] for e in entries]
+
+    def _entry(self, seq: int, event: str, subject_code: str, beneficiary=None,
+               purpose=None, retention_days=None, minor=None) -> dict:
+        """The entry numbered seq, after the checks record describes."""
         if event not in EVENTS:
             raise ValidationError(f"unknown event type: {event!r}")
         if not subject_code or not isinstance(subject_code, str):
@@ -231,7 +269,7 @@ class ComplianceLedger(LineLog):
             raise ValidationError("minor flag is only valid on consent entries")
 
         entry = {
-            "seq": self._seq + 1,
+            "seq": seq,
             "event": event,
             "subject_code": subject_code,
             "beneficiary": beneficiary,
@@ -241,11 +279,15 @@ class ComplianceLedger(LineLog):
         }
         if minor is not None:
             entry["minor"] = bool(minor)
-        self._append(entry)
+        return entry
+
+    def _commit(self, entries: list[dict]) -> None:
+        """Write the entries in one append, fsync unless turned off, and
+        advance the sequence past them."""
+        self.append("".join([json.dumps(e, ensure_ascii=False) + "\n" for e in entries]).encode())
         if self._fsync:
             self.sync()
-        self._seq += 1
-        return self._seq
+        self._seq += len(entries)
 
     def _iso_now(self) -> str:
         second = self._clock.now_ms() // 1000
@@ -253,13 +295,6 @@ class ComplianceLedger(LineLog):
             self._at_second = second
             self._at = iso_utc(second * 1000)
         return self._at
-
-    def record_breach(self, affected_codes) -> list[int]:
-        """One breach_notice entry per affected code; returns their seqs."""
-        codes = list(affected_codes)
-        if not codes:
-            raise ValidationError("a breach notice needs at least one affected code")
-        return [self.record(EVENT_BREACH, code) for code in codes]
 
     def transparency_report(self, code: str) -> str:
         """Human-readable account of everything logged about a code."""

@@ -1,0 +1,156 @@
+"""HTTP front of the mock search API.
+
+Serves a ``firehose.FirehoseEngine`` on localhost for end-to-end runs.
+The ``x-virtual-now-ms`` request header lets a client drive the server
+from an injected clock so virtual-time runs stay in lockstep. Only the
+commands that serve the mock import this module, so the rest of the
+program never loads ``http.server``.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlparse
+
+from .firehose import (
+    MAX_PAGE_SIZE,
+    RATE_STATUS_PATH,
+    SEARCH_PATH,
+    AuthError,
+    BadTokenError,
+    Credentials,
+    FirehoseEngine,
+    RateLimitError,
+)
+
+log = logging.getLogger(__name__)
+
+# serve_forever notices a shutdown request only between polls, so stop()
+# can wait this long; the 0.5 s default is a visible share of a short
+# pipeline run.
+SHUTDOWN_POLL_S = 0.05
+
+
+class _Handler(BaseHTTPRequestHandler):
+    engine: FirehoseEngine  # set by the server factory
+
+    # Keep-alive: every response carries Content-Length, so a client can
+    # send its next request on the same connection.
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args):  # keep test output quiet
+        log.debug("mock api: " + fmt, *args)
+
+    def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _credentials(self) -> Credentials:
+        return Credentials(
+            app_key=self.headers.get("x-app-key", ""),
+            app_secret=self.headers.get("x-app-secret", ""),
+        )
+
+    def _now_ms(self) -> int | None:
+        virtual = self.headers.get("x-virtual-now-ms")
+        return int(virtual) if virtual is not None else None
+
+    def do_GET(self):  # noqa: N802 (http.server API)
+        parsed = urlparse(self.path)
+        try:
+            if parsed.path == SEARCH_PATH:
+                self._do_search(parse_qs(parsed.query))
+            elif parsed.path == RATE_STATUS_PATH:
+                self._do_rate_status()
+            else:
+                self._send(404, {"error": "not found"})
+        except AuthError as exc:
+            self._send(401, {"error": str(exc)})
+        except RateLimitError as exc:
+            self._send(
+                429,
+                {"error": str(exc), "reset_at_ms": exc.reset_at_ms},
+                headers={"x-rate-limit-remaining": "0",
+                         "x-rate-limit-reset-ms": str(exc.reset_at_ms)},
+            )
+        except (BadTokenError, ValueError) as exc:
+            self._send(400, {"error": str(exc)})
+
+    def _do_search(self, params: dict) -> None:
+        count = int(params.get("count", [str(MAX_PAGE_SIZE)])[0])
+        token = params.get("next", [None])[0]
+        page = self.engine.search(
+            self._credentials(), count=count, next_token=token, now_ms=self._now_ms()
+        )
+        self._send(
+            200,
+            {"statuses": [t.to_status() for t in page.tweets], "next": page.next_token},
+            headers={"x-rate-limit-remaining": str(page.remaining),
+                     "x-rate-limit-reset-ms": str(page.reset_at_ms)},
+        )
+
+    def _do_rate_status(self) -> None:
+        remaining, reset_at = self.engine.rate_limit_status(
+            self._credentials(), now_ms=self._now_ms()
+        )
+        self._send(200, {"remaining": remaining, "reset_at_ms": reset_at})
+
+
+class MockFirehoseServer:
+    """Serve a FirehoseEngine on an ephemeral localhost port.
+
+    Usable as a context manager:
+
+        with MockFirehoseServer(engine) as server:
+            run_crawl(CrawlConfig(endpoint=server.url, ...), clock)
+    """
+
+    def __init__(self, engine: FirehoseEngine, host: str = "127.0.0.1", port: int = 0):
+        self.engine = engine
+        self._host = host
+        self._port = port
+        self._httpd: ThreadingHTTPServer | None = None
+        self._thread: threading.Thread | None = None
+
+    @property
+    def url(self) -> str:
+        if self._httpd is None:
+            raise RuntimeError("server not started")
+        host, port = self._httpd.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "MockFirehoseServer":
+        handler = type("BoundHandler", (_Handler,), {"engine": self.engine})
+        self._httpd = ThreadingHTTPServer((self._host, self._port), handler)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        args=(SHUTDOWN_POLL_S,), daemon=True)
+        self._thread.start()
+        log.info("mock api listening on %s", self.url)
+        return self
+
+    def stop(self) -> None:
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._httpd = None
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            self._thread = None
+
+    def __enter__(self) -> "MockFirehoseServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()

@@ -30,7 +30,6 @@ from tweetpipe.crawler import CrawlConfig, parse_status, run_crawl
 from tweetpipe.firehose import (
     Credentials,
     FirehoseEngine,
-    MockFirehoseServer,
     RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
     RateLimitError,
@@ -47,6 +46,7 @@ from tweetpipe.gateway import (
     user_key_for,
 )
 from tweetpipe.ledger import ComplianceLedger
+from tweetpipe.mockserver import MockFirehoseServer
 from tweetpipe.processor import ProcessedTweet, default_gazetteer, detect_location
 from tweetpipe.pruner import ORDER_COUNT_DESC, ORDER_KEY_ASC, PruneConfig, prune
 

@@ -242,6 +242,19 @@ def test_cli_imports_only_the_standard_library_for_http():
     assert probe.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_http_stack():
+    # Every command pays for the CLI's imports; only the mock server, the
+    # crawl and HTTP sinks load these, when they run.
+    stack = ["email", "http.client", "http.server", "ssl", "urllib.request"]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, tweetpipe.cli; print(sorted(set({stack!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
 # ------------------------------------------------- analyze / prune / misc
 
 

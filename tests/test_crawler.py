@@ -25,13 +25,13 @@ from tweetpipe.firehose import (
     BadTokenError,
     Credentials,
     FirehoseEngine,
-    MockFirehoseServer,
     RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
     RateLimitError,
     RateWindow,
     RawTweet,
 )
+from tweetpipe.mockserver import MockFirehoseServer
 
 T0 = 1_567_888_000_000
 
@@ -614,6 +614,31 @@ def test_run_crawl_filters_blank_and_padded_undetected_lang(scripted_server, tmp
     stats, records = crawl_page(scripted_server, tmp_path, [t.to_status() for t in tweets])
     assert (stats.tweets_seen, stats.filtered_no_lang, stats.tweets_kept) == (2, 2, 0)
     assert records == []
+
+
+def test_run_crawl_filters_null_location_and_lang(scripted_server, tmp_path):
+    # The API marks both fields nullable.
+    no_location, no_lang = make_tweet(id=1).to_status(), make_tweet(id=2).to_status()
+    no_location["user"]["location"] = None
+    no_lang["lang"] = None
+    stats, records = crawl_page(scripted_server, tmp_path, [no_location, no_lang])
+    assert (stats.tweets_seen, stats.filtered_no_location, stats.filtered_no_lang) == (2, 1, 1)
+    assert records == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("created_at", None), ("text", {"x": 1}), ("text", None), ("lang", 0),
+    ("user.location", 5), ("user.location", False), ("user.name", None),
+    ("user.screen_name", ["a"]), ("retweeted_status_present", "no"),
+    ("retweeted_status_present", 1), ("retweeted_status_present", None),
+])
+def test_run_crawl_skips_a_field_of_the_wrong_type(scripted_server, tmp_path, field, value):
+    bad = make_tweet(id=1).to_status()
+    owner = bad["user"] if field.startswith("user.") else bad
+    owner[field.removeprefix("user.")] = value
+    stats, records = crawl_page(scripted_server, tmp_path, [bad, make_tweet(id=2).to_status()])
+    assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
+    assert [r.id for r in records] == ["2"]
 
 
 def test_run_crawl_respects_duration(tmp_path):

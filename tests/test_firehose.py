@@ -13,7 +13,6 @@ from tweetpipe.firehose import (
     Credentials,
     FirehoseEngine,
     MAX_PAGE_SIZE,
-    MockFirehoseServer,
     RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
     RateLimitError,
@@ -22,6 +21,7 @@ from tweetpipe.firehose import (
     TweetFactory,
     format_created_at,
 )
+from tweetpipe.mockserver import MockFirehoseServer
 
 CREDS = Credentials()
 T0 = 1_567_888_000_000  # some Saturday evening, UTC

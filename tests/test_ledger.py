@@ -7,8 +7,11 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
+import tweetpipe.ledger
 from tweetpipe.clock import VirtualClock
+from tweetpipe.gateway import DirectorySink, Vault
 from tweetpipe.ledger import (
     ComplianceLedger,
     EVENT_BREACH,
@@ -217,6 +220,95 @@ def test_open_and_report_keep_no_history_in_memory(tmp_path):
     assert large - small < 8_192, (small, large)
 
 
+# ----------------------------------------------------------------- replay
+
+
+def reference_replay(log, needle=b""):
+    """The per-line rule the replay must match: skip a blank line, else
+    json.loads it and require an object."""
+    if not os.path.exists(log.path):
+        return
+    for line_num, line in log.lines(needle):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise log.error(f"{log.path}:{line_num}: corrupt line: {exc}")
+        if not isinstance(obj, dict):
+            raise log.error(f"{log.path}:{line_num}: line is not a JSON object")
+        yield line_num, obj
+
+
+def replay_outcome(replay):
+    """(pairs yielded, (error type, message) or None)."""
+    pairs = []
+    try:
+        for pair in replay:
+            pairs.append(pair)
+    except Exception as exc:  # the log's own error class: ValueError or VaultError
+        return pairs, (type(exc), str(exc))
+    return pairs, None
+
+
+def line_logs(directory):
+    """A ledger, a vault and a directory sink, each opened on no file."""
+    os.makedirs(directory / "sink")
+    return [ComplianceLedger(directory / "ledger.jsonl", clock=VirtualClock(T0)),
+            Vault(directory / "vault.jsonl", clock=VirtualClock(T0)),
+            DirectorySink(directory / "sink")]
+
+
+def assert_replays_match(logs, data: bytes, needle=b""):
+    """Each log's replay of data matches the reference rule's."""
+    for log in logs:
+        with open(log.path, "wb") as fh:
+            fh.write(data)
+        expected = replay_outcome(reference_replay(log, needle))
+        assert replay_outcome(log._replay(needle)) == expected, (log.path, data)
+
+
+GOOD = b'{"seq": 1, "event": "erasure", "subject_code": "ab"}'
+ODD_LINES = [
+    b"", b"  ", b"\t", b"\r", b"\x0b\x0c",
+    b" " + GOOD, GOOD + b" ", b"\t" + GOOD + b"\r", GOOD + b"\x0c",
+    GOOD + GOOD, GOOD + b" " + GOOD, b'{"seq": 1} x', b'{"seq": 1}]',
+    b'{"seq": 1, "seq": 2}', b"NaN", b'{"seq": NaN}', b'{"seq": Infinity}',
+    b"[1]", b"null", b'"entry"', b"1", b"{}", b"1 2",
+    b"\xff", b'{"seq": "\xc3"}', b"\xef\xbb\xbf" + GOOD, b'{"seq": 1',
+    b'{"s\\u00e9q": "\xc3\xa9 \xe2\x98\x83"}', b'{"seq": "\\ud800"}', b"\xc2\xa0" + GOOD,
+]
+
+
+@pytest.mark.parametrize("odd", ODD_LINES)
+def test_replay_matches_the_reference_rule(tmp_path, odd):
+    logs = line_logs(tmp_path)
+    for tail in (b"", GOOD, GOOD[:9], odd):  # nothing, whole, torn, or the odd line torn
+        for needle in (b"", b'"seq"', b"x"):
+            assert_replays_match(logs, GOOD + b"\n" + odd + b"\n" + GOOD + b"\n" + tail,
+                                 needle)
+
+
+@pytest.fixture(scope="module")
+def replay_logs(tmp_path_factory):
+    return line_logs(tmp_path_factory.mktemp("replay"))
+
+
+json_line = st.builds(
+    lambda obj, pad: (pad[0] + json.dumps(obj, ensure_ascii=False) + pad[1]).encode(),
+    st.one_of(st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5)
+                              | st.floats() | st.none(), max_size=4),
+              st.integers(), st.none(), st.lists(st.integers(), max_size=2)),
+    st.tuples(st.sampled_from(["", " ", "\t", "\r"]), st.sampled_from(["", " ", "\r", "x"])),
+)
+
+
+@given(st.lists(json_line | st.sampled_from(ODD_LINES) | st.binary(max_size=12), max_size=8),
+       st.sampled_from([b"", b"\n"]), st.sampled_from([b"", b'"', b"seq"]))
+def test_replay_matches_the_reference_rule_on_any_lines(replay_logs, lines, end, needle):
+    assert_replays_match(replay_logs, b"\n".join(lines) + end, needle)
+
+
 # ---------------------------------------------------------------- queries
 
 
@@ -226,6 +318,40 @@ def test_record_breach_fans_out(ledger):
     assert [e["event"] for e in read_entries(ledger.path)] == [EVENT_BREACH, EVENT_BREACH]
     with pytest.raises(ValidationError):
         ledger.record_breach([])
+
+
+def test_record_breach_checks_every_code_before_writing_any(ledger):
+    with pytest.raises(ValidationError):
+        ledger.record_breach([CODE, "", OTHER])
+    assert len(ledger) == 0
+    assert not os.path.exists(ledger.path)
+    assert ledger.record_breach([OTHER]) == [1]
+
+
+def test_record_breach_writes_the_batch_with_one_fsync(tmp_path, monkeypatch):
+    real_os = tweetpipe.ledger.os
+    fsyncs = []
+
+    class FsyncCounter:
+        def __getattr__(self, name):
+            return getattr(real_os, name)
+
+        def fsync(self, fd):
+            fsyncs.append(fd)
+            real_os.fsync(fd)
+
+    codes = [f"{i:032x}" for i in range(10)]
+    with ComplianceLedger(tmp_path / "one.jsonl", clock=VirtualClock(T0)) as led:
+        disclose(led)
+        for code in codes:  # the same entries, one record each
+            led.record(EVENT_BREACH, code)
+    monkeypatch.setattr(tweetpipe.ledger, "os", FsyncCounter())
+    with ComplianceLedger(tmp_path / "batch.jsonl", clock=VirtualClock(T0)) as led:
+        disclose(led)
+        fsyncs.clear()
+        assert led.record_breach(codes) == list(range(2, 12))
+    assert len(fsyncs) == 1
+    assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
 
 
 # ----------------------------------------------------------------- report

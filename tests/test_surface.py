@@ -1,6 +1,7 @@
 """Every public def and class in the package has a caller outside the tests,
 only the line log appends to files, only ``ledger.py`` opens a file for
-writing, and only the entry reader splits ``name: value`` lines.
+writing, only the entry reader splits ``name: value`` lines, and every
+name the bench tracer wraps is still where it looks.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -9,6 +10,8 @@ or kept on purpose.
 """
 
 import ast
+import importlib
+import os
 import re
 from pathlib import Path
 
@@ -17,8 +20,8 @@ PACKAGE = ROOT / "src" / "tweetpipe"
 
 # module.qualname -> why it stays without a caller in src/ or bench/
 ALLOWED = {
-    "firehose._Handler.do_GET": "http.server dispatches GET requests to it by name",
-    "firehose._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
+    "mockserver._Handler.do_GET": "http.server dispatches GET requests to it by name",
+    "mockserver._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
     "gateway.classify_sensitivity": "the field classification the gateway's payload encodes",
     "gateway.Vault.code_for": "the read-only lookup of a user's current code",
 }
@@ -119,3 +122,24 @@ def test_only_the_entry_reader_splits_name_value_lines():
         for line in colon_partitions(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def tracer_targets() -> tuple:
+    """bench/tracer.py's TARGETS, read from its source; nothing is installed."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_every_traced_name_resolves_where_the_tracer_looks():
+    targets = tracer_targets()
+    assert targets
+    for module_name, attr, _span in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+    # The tracer replaces the ledger module's os to time every fsync.
+    assert importlib.import_module("tweetpipe.ledger").os is os
