@@ -133,15 +133,16 @@ def sort_rows(counter: Counter) -> list[AnalysisRow]:
     ]
 
 
-def analyze(records, specs) -> dict[str, list[AnalysisRow]]:
-    """Run every spec over the records; returns name -> sorted rows.
+def analyze(records, specs) -> dict[str, Counter]:
+    """Run every spec over the records; returns name -> key counts.
 
     The language and country builtins count records per key (records
     with no detected country are excluded); the hashtag and mention
     builtins count token occurrences; regex specs count matching records
     keyed by the first match's text. Keys with zero count never appear.
+    Unsorted, so the counts of several calls add up before sort_rows.
     """
-    results: dict[str, list[AnalysisRow]] = {}
+    results: dict[str, Counter] = {}
     for spec in specs:
         counter: Counter = Counter()
         if spec.kind == KIND_LANG:
@@ -160,7 +161,7 @@ def analyze(records, specs) -> dict[str, list[AnalysisRow]]:
                 m = compiled.search(r.text)
                 if m is not None:
                     counter[m.group(0)] += 1
-        results[spec.name] = sort_rows(counter)
+        results[spec.name] = counter
     return results
 
 

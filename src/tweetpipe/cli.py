@@ -160,8 +160,8 @@ def _analyze_stage(args, record_files, out_dir) -> list[tuple[str, list, str]]:
         specs.extend(load_regex_specs(args.regex))
     totals: dict[str, Counter] = {spec.name: Counter() for spec in specs}
     for records in record_files:
-        for name, rows in analyze(records, specs).items():
-            totals[name].update({row.key: row.count for row in rows})
+        for name, counts in analyze(records, specs).items():
+            totals[name].update(counts)
         del records  # release this file before the next one is processed
     tables = []
     for name, counts in totals.items():

@@ -7,6 +7,9 @@ tweet bodies routinely contain those, making field boundaries ambiguous.
 Field order: creation date, id, language code, location, display name,
 username, tweet text. The creation date is stored verbatim as the string
 the source API produced; this codec never parses it.
+
+decode_record returns bare field values, so a reader builds the record
+type it needs in one construction.
 """
 
 from __future__ import annotations
@@ -94,27 +97,19 @@ def encode_record(record: TweetRecord) -> str:
     return line
 
 
-def _trim_field(field: str) -> str:
-    # At most one leading and one trailing space belong to the delimiter
-    # convention ("a <8> b"), never to the field itself.
-    if field.startswith(" "):
-        field = field[1:]
-    if field.endswith(" "):
-        field = field[:-1]
-    return field
-
-
-def decode_record(line: str) -> TweetRecord:
-    """Decode one line into a TweetRecord.
+def decode_record(line: str) -> list[str]:
+    """Decode one line into its seven field values, in on-disk order.
 
     Accepts both the bare ("a<8>b") and spaced ("a <8> b") delimiter
-    forms. Raises FieldCountError when the split does not yield exactly
+    forms: at most one leading and one trailing space of each field
+    belong to the delimiter convention, never to the field, and are
+    dropped. Raises FieldCountError when the split does not yield exactly
     seven fields, which signals a corrupt input line.
     """
     parts = line.split(DELIMITER)
     if len(parts) != len(FIELD_NAMES):
         raise FieldCountError(len(parts))
-    return TweetRecord(*(_trim_field(part) for part in parts))
+    return [part.removeprefix(" ").removesuffix(" ") for part in parts]
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,6 @@ class SearchClient:
             params["next"] = next_token
         target = self._path + "?" + urlencode(params)
         backoff_ms = self.BACKOFF_START_MS
-        failure: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             now_ms = self._clock.now_ms()
             self.window.roll(now_ms)
@@ -270,7 +269,8 @@ class SearchClient:
                 body = resp.read()
             except (OSError, http.client.HTTPException) as exc:
                 self._conn.close()
-                failure = exc
+                # The type only: str() of some (BadStatusLine) is the server's text.
+                failure = type(exc).__name__
             else:
                 page = _json_object(body)
                 statuses = None if page is None else page.get("statuses", [])
@@ -284,12 +284,12 @@ class SearchClient:
                 if resp.status == 400:
                     raise BadTokenError(error)
                 # A 200 lands here too when its body is not a search page.
-                failure = FetchError(f"server returned {resp.status} and no search page")
+                failure = f"server returned {resp.status} and no search page"
             if attempt < self.MAX_RETRIES:
                 log.warning("search request failed (%s), retrying in %d ms", failure, backoff_ms)
                 self._clock.sleep_ms(backoff_ms)
                 backoff_ms *= 2
-        raise FetchError(str(failure))
+        raise FetchError(failure)
 
 
 def _json_object(body: bytes) -> dict | None:
@@ -302,13 +302,15 @@ def _json_object(body: bytes) -> dict | None:
 
 
 def _reset_at(resp: http.client.HTTPResponse, page: dict | None, now_ms: int) -> int:
-    try:
-        return int(page["reset_at_ms"])
-    except (ValueError, KeyError, TypeError):
-        pass
-    header = resp.getheader("x-rate-limit-reset-ms")
-    if header is not None:
-        return int(header)
+    """The body's reset_at_ms, else the header, else the next window boundary;
+    a value that is no integer after now_ms is passed over, never trusted."""
+    for value in ((page or {}).get("reset_at_ms"), resp.getheader("x-rate-limit-reset-ms")):
+        try:
+            reset_at = int(value)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: JSON Infinity
+            continue
+        if reset_at > now_ms:
+            return reset_at
     return (now_ms // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
 
 

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring
 
 from .analyzer import ParseError
 from .codec import (
+    FIELD_NAMES,
     FieldCountError,
     TweetRecord,
     decode_record,
@@ -35,6 +36,7 @@ from .ledger import LineLog, replaced_text
 log = logging.getLogger(__name__)
 
 GAZETTEER_HEADER = ("city", "country", "aliases")
+_LOCATION = FIELD_NAMES.index("location")
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,13 @@ class Gazetteer:
                 (t.text.lower(), pattern, t))
 
     def lookup(self, free_text: str) -> tuple[str | None, str | None]:
+        """Best (country, city) guess for a free-text location field.
+
+        A city hit fills in its country; a country-only hit leaves city
+        None; no hit at all, or blank text, yields (None, None).
+        """
+        if not free_text.strip():
+            return None, None
         lowered = free_text.lower()
         best: tuple | None = None
         for start in self._starts.findall(free_text):
@@ -124,17 +133,6 @@ class Gazetteer:
             return None, None
         term = best[1]
         return term.country, term.city
-
-
-def detect_location(free_text: str, gazetteer: Gazetteer) -> tuple[str | None, str | None]:
-    """Best (country, city) guess for a free-text location field.
-
-    A city hit fills in its country; a country-only hit leaves city None;
-    no hit at all yields (None, None).
-    """
-    if not free_text.strip():
-        return None, None
-    return gazetteer.lookup(free_text)
 
 
 def load_gazetteer(path) -> list[GazetteerEntry]:
@@ -221,7 +219,7 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     skipped = 0
     for line_num, line in crawl_log.lines():
         try:
-            record = decode_record(line.decode("utf-8"))
+            values = decode_record(line.decode("utf-8"))
         except FieldCountError as exc:
             skipped += 1
             log.warning("%s:%d: %s", in_path, line_num, exc)
@@ -231,8 +229,7 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
             skipped += 1
             log.warning("%s:%d: not valid UTF-8", in_path, line_num)
             continue
-        country, city = detect_location(record.location, gazetteer)
-        records.append(ProcessedTweet(*record.fields(), country=country, city=city))
+        records.append(ProcessedTweet(*values, *gazetteer.lookup(values[_LOCATION])))
     if crawl_log.torn_at is not None:
         skipped += 1
 

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 import tweetpipe.cli
-from tweetpipe.analyzer import BUILTIN_SPECS, analyze, load_regex_specs, write_csv
+from tweetpipe.analyzer import BUILTIN_SPECS, analyze, load_regex_specs, sort_rows, write_csv
 from tweetpipe.cli import main, parse_bool, parse_duration_ms
 from tweetpipe.gateway import CATEGORIES
 from tweetpipe.processor import ProcessedTweet, read_processed_file
@@ -115,6 +115,24 @@ def test_pipeline_is_deterministic(tmp_path, capsys):
     assert tree_digest(a) == tree_digest(b)
 
 
+# tree_digest of a two-hour pipeline run, which writes two hour-files. A
+# change that alters any byte of the crawl files, the processed JSON or the
+# analysis and pruned CSVs fails here; one that means to must say so.
+GOLDEN_DIGESTS = {
+    7: "f2a97cf95f333c18b5545e4f4f3b78ac48f24c9c1d6de348030bbd3a043e317e",
+    1009: "5cd4033db7c65766dc9373157607fc0bcf405d7c972997073c6a5d069a2b9326",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_pipeline_output_matches_its_golden_digest(tmp_path, capsys, seed):
+    assert main(["--data-dir", str(tmp_path), "--seed", str(seed),
+                 "pipeline", "--duration", "2h", "--interval-ms", "64000"]) == 0
+    assert capsys.readouterr().out.startswith("crawl: 113 requests, ")
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert tree_digest(tmp_path) == GOLDEN_DIGESTS[seed]
+
+
 def test_pipeline_honors_regex_specs(tmp_path, capsys):
     spec_file = tmp_path / "extra.txt"
     spec_file.write_text("greets: (?i)hello\n", encoding="utf-8")
@@ -194,8 +212,8 @@ def test_analyze_cli_adds_up_several_files(tmp_path, capsys):
     whole = tmp_path / "whole"
     records = [r for path in paths for r in read_processed_file(path)]
     results = analyze(records, [*BUILTIN_SPECS, *load_regex_specs(spec_file)])
-    for name, rows in results.items():
-        write_csv(name, rows, whole)
+    for name, counts in results.items():
+        write_csv(name, sort_rows(counts), whole)
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in whole.iterdir())
     for table in whole.iterdir():
         assert (out / table.name).read_bytes() == table.read_bytes()

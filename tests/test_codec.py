@@ -84,21 +84,17 @@ def test_encode_joins_seven_fields():
 
 def test_round_trip_preserves_all_fields():
     rec = make_record()
-    assert decode_record(encode_record(rec)) == rec
+    assert TweetRecord(*decode_record(encode_record(rec))) == rec
 
 
 def test_decode_trims_one_space_around_each_field():
     line = "a <8> 1 <8> en <8> x <8> n <8> u <8> t"
-    rec = decode_record(line)
-    assert rec.creation_date == "a"
-    assert rec.id == "1"
-    assert rec.text == "t"
+    assert decode_record(line) == ["a", "1", "en", "x", "n", "u", "t"]
 
 
 def test_decode_trims_at_most_one_space():
     line = "a<8>1<8>en<8>x<8>n<8>u<8>  t "
-    rec = decode_record(line)
-    assert rec.text == " t"
+    assert decode_record(line)[-1] == " t"
 
 
 def test_decode_wrong_field_count():
@@ -108,6 +104,48 @@ def test_decode_wrong_field_count():
     assert "expected 7 fields, got 3" in str(exc_info.value)
     with pytest.raises(FieldCountError):
         decode_record("<8>".join("abcdefgh"))
+
+
+def reference_trim(field: str) -> str:
+    """The decode trim rule field by field, as decode_record once applied
+    it: at most one leading and one trailing space belong to the delimiter."""
+    if field.startswith(" "):
+        field = field[1:]
+    if field.endswith(" "):
+        field = field[:-1]
+    return field
+
+
+def reference_decode(line: str) -> list[str]:
+    parts = line.split(DELIMITER)
+    if len(parts) != len(FIELD_NAMES):
+        raise FieldCountError(len(parts))
+    return [reference_trim(part) for part in parts]
+
+
+@st.composite
+def padded_lines(draw):
+    """Fields joined by "<8>" with 0-2 spaces on either side of each
+    delimiter and at both line ends; mostly seven fields, sometimes not."""
+    count = draw(st.one_of(st.just(len(FIELD_NAMES)), st.integers(1, 9)))
+    pad = st.integers(0, 2).map(" ".__mul__)
+    return DELIMITER.join(
+        draw(pad) + draw(st.text(alphabet="a <8>", max_size=4)) + draw(pad)
+        for _ in range(count))
+
+
+@settings(max_examples=300)
+@given(line=padded_lines())
+@example(line="  <8>  <8> <8><8>  a <8>   <8>  ")
+def test_decode_agrees_with_the_reference_trim(line):
+    try:
+        expected = reference_decode(line)
+    except FieldCountError as exc:
+        with pytest.raises(FieldCountError) as got:
+            decode_record(line)
+        assert got.value.field_count == exc.field_count
+    else:
+        assert decode_record(line) == expected
 
 
 def test_encode_rejects_delimiter_in_field():
@@ -140,7 +178,7 @@ def test_encode_rejects_empty_location():
 
 def test_text_commas_and_semicolons_survive():
     rec = make_record(text="OT a, b; c")
-    assert decode_record(encode_record(rec)).text == "OT a, b; c"
+    assert TweetRecord(*decode_record(encode_record(rec))).text == "OT a, b; c"
 
 
 field_text = st.text(
@@ -159,7 +197,7 @@ field_text = st.text(
 )
 def test_round_trip_on_sanitized_fields(**fields):
     rec = TweetRecord(**fields)
-    assert decode_record(encode_record(rec)) == rec
+    assert TweetRecord(*decode_record(encode_record(rec))) == rec
 
 
 def reference_validate(record: TweetRecord) -> None:
@@ -208,7 +246,7 @@ def assert_encode_agrees_with_reference(record: TweetRecord) -> None:
         with pytest.raises(InvalidRecordError):
             encode_record(record)
     else:
-        assert decode_record(encode_record(record)) == record
+        assert TweetRecord(*decode_record(encode_record(record))) == record
 
 
 @settings(max_examples=300)

@@ -60,7 +60,7 @@ def crawl_page(scripted_server, tmp_path, statuses):
     handler.page = {"statuses": statuses, "next": "tok"}
     cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), max_requests=1)
     stats = run_crawl(cfg, clock=VirtualClock(T0))
-    return stats, [decode_record(line) for line in read_crawl_lines(tmp_path)]
+    return stats, [TweetRecord(*decode_record(line)) for line in read_crawl_lines(tmp_path)]
 
 
 @pytest.mark.parametrize(
@@ -217,10 +217,11 @@ def test_writer_groups_pages_by_fetch_hour(tmp_path):
         "09-07-2019/tweets-21 PM.txt",
     ]
     first = (tmp_path / "09-07-2019" / "tweets-20 PM.txt").read_text(encoding="utf-8")
-    assert [decode_record(line).id for line in first.splitlines()] == [
+    assert [TweetRecord(*decode_record(line)).id for line in first.splitlines()] == [
         make_record(1).id, make_record(2).id]
     second = (tmp_path / "09-07-2019" / "tweets-21 PM.txt").read_text(encoding="utf-8")
-    assert [decode_record(line).id for line in second.splitlines()] == [make_record(3).id]
+    assert [TweetRecord(*decode_record(line)).id for line in second.splitlines()] == [
+        make_record(3).id]
 
 
 def test_writer_skips_empty_pages(tmp_path):
@@ -256,7 +257,7 @@ def test_resumed_crawl_cuts_a_torn_record_at_every_byte(tmp_path, caplog):
         expected = f"{path}: skipping a torn final line at byte {len(head)}"
         assert [r.getMessage() for r in caplog.records] == [expected]
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [decode_record(line) for line in lines] == [first, third]
+        assert [TweetRecord(*decode_record(line)) for line in lines] == [first, third]
 
 
 # ------------------------------------------------------------ SearchClient
@@ -264,22 +265,27 @@ def test_resumed_crawl_cuts_a_torn_record_at_every_byte(tmp_path, caplog):
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Responds with a scripted sequence of status codes, each alone (with
-    body {}) or paired with a body, then a fixed page."""
+    body {}) or paired with a body and optionally a dict of extra response
+    headers, then a fixed page."""
 
-    script: list[int | tuple[int, bytes]] = []
+    script: list[int | tuple[int, bytes] | tuple[int, bytes, dict]] = []
     calls = 0
     page: dict = {"statuses": [], "next": "tok"}
 
     def do_GET(self):
         cls = type(self)
         cls.calls += 1
+        headers: dict = {}
         if cls.script:
             step = cls.script.pop(0)
-            code, body = step if isinstance(step, tuple) else (step, b"{}")
+            code, body, *extra = step if isinstance(step, tuple) else (step, b"{}")
+            headers = extra[0] if extra else {}
             self.send_response(code)
         else:
             body = json.dumps(cls.page).encode()
             self.send_response(200)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -354,6 +360,46 @@ def test_client_maps_error_status_whatever_the_body(scripted_server, code, error
     with pytest.raises(error):
         client.search(10, None)
     client.close()
+
+
+WINDOW_END = (T0 // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
+
+
+@pytest.mark.parametrize("body,headers,reset_at", [
+    (b'{"reset_at_ms": %d}' % (T0 + 5000), {}, T0 + 5000),
+    (b"{}", {"x-rate-limit-reset-ms": str(T0 + 5000)}, T0 + 5000),
+    (b'{"reset_at_ms": "soon"}', {"x-rate-limit-reset-ms": str(T0 + 5000)}, T0 + 5000),
+    (b"{}", {}, WINDOW_END),
+    (b"{}", {"x-rate-limit-reset-ms": "soon"}, WINDOW_END),
+    (b"{}", {"x-rate-limit-reset-ms": "0"}, WINDOW_END),
+    (b"{}", {"x-rate-limit-reset-ms": str(T0)}, WINDOW_END),
+    (b'{"reset_at_ms": 0}', {"x-rate-limit-reset-ms": ""}, WINDOW_END),
+    (b'{"reset_at_ms": Infinity}', {}, WINDOW_END),
+    (b"[]", {"x-rate-limit-reset-ms": "1e99"}, WINDOW_END),
+], ids=["body", "header", "bad-body-good-header", "missing", "malformed", "zero", "now",
+        "past-body-empty-header", "infinite", "not-an-object"])
+def test_client_reset_falls_back_to_the_window_boundary(scripted_server, body, headers,
+                                                        reset_at):
+    url, handler = scripted_server
+    handler.script = [(429, body, headers)]
+    client = SearchClient(url, Credentials(), VirtualClock(T0))
+    with pytest.raises(RateLimitError) as exc_info:
+        client.search(10, None)
+    client.close()
+    assert exc_info.value.reset_at_ms == reset_at
+
+
+@pytest.mark.parametrize("reset", ["0", "soon"])
+def test_run_crawl_waits_out_a_429_whose_reset_is_unusable(scripted_server, tmp_path, reset):
+    url, handler = scripted_server
+    handler.script = [(429, b"{}", {"x-rate-limit-reset-ms": reset})] * RATE_LIMIT_CAPACITY
+    cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), duration_ms=60_000)
+    clock = VirtualClock(T0)
+    stats = run_crawl(cfg, clock=clock)
+    # The window ends more than 60 s after T0: one request, then one wait.
+    assert WINDOW_END - T0 > cfg.duration_ms
+    assert (stats.requests, stats.rate_limit_waits, handler.calls) == (1, 1, 1)
+    assert clock.now_ms() == WINDOW_END
 
 
 def test_client_fails_fast_when_nothing_listens():
@@ -508,7 +554,7 @@ def test_run_crawl_output_is_clean(tmp_path):
     assert lines
     ids = set()
     for line in lines:
-        rec = decode_record(line)
+        rec = TweetRecord(*decode_record(line))
         assert rec.location.strip()
         assert rec.lang not in ("", "und")
         assert rec.text.startswith(("OT ", "RT "))
@@ -523,7 +569,7 @@ def test_run_crawl_drops_duplicates_without_cursor(tmp_path):
     stats.check_identity()
     # every persisted id is still unique
     lines = read_crawl_lines(tmp_path)
-    ids = [decode_record(line).id for line in lines]
+    ids = [TweetRecord(*decode_record(line)).id for line in lines]
     assert len(ids) == len(set(ids))
 
 
@@ -586,6 +632,42 @@ def test_malformed_status_log_carries_no_identifier(scripted_server, tmp_path, c
     assert stats.tweets_seen == 0
     assert "malformed status skipped" in caplog.text
     for value in (tweet.username, tweet.name, tweet.location, str(tweet.id), tweet.text):
+        assert value not in caplog.text
+
+
+def test_bad_status_line_log_carries_no_wire_text(tmp_path, caplog):
+    # A server that answers every request with a line that is not HTTP;
+    # http.client puts that line in its BadStatusLine message.
+    wire_text = "@pixel4242 Alice Chen 1000000000000000123"
+    attempts = SearchClient.MAX_RETRIES + 1
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    answered = []
+
+    def answer():
+        for _ in range(attempts):  # each failed attempt reconnects
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                conn.sendall(wire_text.encode() + b"\r\n")
+            answered.append(request)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    cfg = CrawlConfig(endpoint=f"http://127.0.0.1:{listener.getsockname()[1]}",
+                      out_dir=str(tmp_path), max_requests=1)
+    try:
+        with caplog.at_level(logging.DEBUG, logger="tweetpipe"):
+            stats = run_crawl(cfg, clock=VirtualClock(T0))
+    finally:
+        listener.close()
+        thread.join(timeout=5)
+    assert stats.request_failures == 1
+    assert len(answered) == attempts
+    assert "page skipped: BadStatusLine" in caplog.text
+    for value in ("pixel4242", "Alice", "Chen", "1000000000000000123"):
         assert value not in caplog.text
 
 

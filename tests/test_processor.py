@@ -16,7 +16,6 @@ from tweetpipe.processor import (
     GazetteerEntry,
     ProcessedTweet,
     default_gazetteer,
-    detect_location,
     find_crawl_files,
     load_gazetteer,
     process_file,
@@ -50,12 +49,12 @@ WORLD = default_gazetteer()
     ],
 )
 def test_detect_location(free_text, country, city):
-    assert detect_location(free_text, WORLD) == (country, city)
+    assert WORLD.lookup(free_text) == (country, city)
 
 
 def test_longest_match_wins():
     # "Mexico City" beats the bare country "Mexico"
-    assert detect_location("Mexico City", WORLD) == ("Mexico", "Mexico City")
+    assert WORLD.lookup("Mexico City") == ("Mexico", "Mexico City")
 
 
 def test_earlier_occurrence_breaks_length_ties():
@@ -63,7 +62,7 @@ def test_earlier_occurrence_breaks_length_ties():
         GazetteerEntry(city="Aaaa", country="Xland"),
         GazetteerEntry(city="Bbbb", country="Yland"),
     ]
-    assert detect_location("Bbbb then Aaaa", Gazetteer(entries)) == ("Yland", "Bbbb")
+    assert Gazetteer(entries).lookup("Bbbb then Aaaa") == ("Yland", "Bbbb")
 
 
 def test_country_beats_city_at_same_position():
@@ -72,7 +71,7 @@ def test_country_beats_city_at_same_position():
         GazetteerEntry(city="Fooland", country="Barland"),
     ]
     # "Fooland" is both a country and a city name; the country reading wins
-    assert detect_location("Fooland", Gazetteer(entries)) == ("Fooland", None)
+    assert Gazetteer(entries).lookup("Fooland") == ("Fooland", None)
 
 
 def test_duplicate_aliases_keep_first_binding():
@@ -80,7 +79,7 @@ def test_duplicate_aliases_keep_first_binding():
         GazetteerEntry(city="Alpha", country="Xland", aliases=("twin",)),
         GazetteerEntry(city="Beta", country="Yland", aliases=("twin",)),
     ]
-    assert detect_location("twin", Gazetteer(entries)) == ("Xland", "Alpha")
+    assert Gazetteer(entries).lookup("twin") == ("Xland", "Alpha")
 
 
 # ------------------------------------------------- indexed lookup vs scan
@@ -241,7 +240,7 @@ def test_load_gazetteer_rejects_an_empty_city_or_country_at_its_row(tmp_path, ro
 def test_default_gazetteer_is_usable():
     gaz = default_gazetteer()
     assert gaz.entries
-    assert detect_location("Paris", gaz)[0] == "France"
+    assert gaz.lookup("Paris")[0] == "France"
 
 
 # ------------------------------------------------------------ ProcessedTweet
