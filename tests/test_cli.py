@@ -133,6 +133,45 @@ def test_pipeline_output_matches_its_golden_digest(tmp_path, capsys, seed):
     assert tree_digest(tmp_path) == GOLDEN_DIGESTS[seed]
 
 
+# The builtin digests above cover neither -regex tables nor key_asc pruning.
+# These pin a two-hour seed-1009 pipeline with three -regex specs, and a
+# key_asc prune of its hashtag table.
+REGEX_SPECS = (
+    "food: \\b(?:pizza|lunch|breakfast|coffee|vegan)\\b\n"
+    "moods: (?i)\\b(?:tired|bored|excited)\\b\n"
+    "handles: @[a-z]+\\d\n"
+)
+GOLDEN_REGEX_DIGEST = "75a2ab496fecde4bfdaa4aa67748e698a8abc36ef727b9b05922244b61b95ec8"
+GOLDEN_KEY_ASC_DIGEST = "bf53758b375c47a78c06b8c1ebcdaeb1cac0cf2bfa73dc111a99d742f07b3744"
+
+
+@pytest.fixture(scope="module")
+def regex_pipeline(tmp_path_factory):
+    root = tmp_path_factory.mktemp("regex_pipeline")
+    spec_file = root / "extra.txt"
+    spec_file.write_text(REGEX_SPECS, encoding="utf-8")
+    data = root / "data"
+    assert main(["--data-dir", str(data), "--seed", "1009", "pipeline", "--duration", "2h",
+                 "--interval-ms", "64000", "-regex", str(spec_file)]) == 0
+    return data
+
+
+def test_regex_pipeline_output_matches_its_golden_digest(regex_pipeline, capsys):
+    for name in ("food", "moods", "handles"):
+        assert len((regex_pipeline / "analysis" / f"{name}.csv").read_text().splitlines()) > 2
+    assert tree_digest(regex_pipeline) == GOLDEN_REGEX_DIGEST
+
+
+def test_key_order_prune_matches_its_golden_digest(regex_pipeline, tmp_path, capsys):
+    out = tmp_path / "pruned"
+    out.mkdir()
+    assert main(["prune", "--in", str(regex_pipeline / "analysis" / "builtin_hashtag.csv"),
+                 "--out", str(out / "builtin_hashtag.csv"),
+                 "--order", "key_asc", "--limit", "7"]) == 0
+    assert len((out / "builtin_hashtag.csv").read_text().splitlines()) == 8
+    assert tree_digest(out) == GOLDEN_KEY_ASC_DIGEST
+
+
 def test_pipeline_honors_regex_specs(tmp_path, capsys):
     spec_file = tmp_path / "extra.txt"
     spec_file.write_text("greets: (?i)hello\n", encoding="utf-8")
