@@ -1,10 +1,11 @@
 """Count-based analyses over processed tweets, written as CSV files.
 
-Four analyses are built in: records per language, records per detected
-country, hashtag occurrences and mention occurrences. Further analyses
-come from a file of named regular expressions; each counts the records
-whose text matches, keyed by the first matched text so the CSV stays
-inspectable.
+An analysis is a name plus a key function, which yields the keys a batch
+of records adds to the table. Four are built in: records per language,
+records per detected country, hashtag occurrences and mention
+occurrences. Further analyses come from a file of named regular
+expressions; each counts the records whose text matches, keyed by the
+first matched text so the CSV stays inspectable.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ import csv
 import os
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from .ledger import replaced_text
-
-KIND_LANG = "builtin_lang"
-KIND_COUNTRY = "builtin_country"
-KIND_HASHTAG = "builtin_hashtag"
-KIND_MENTION = "builtin_mention"
-KIND_REGEX = "regex"
-KINDS = (KIND_LANG, KIND_COUNTRY, KIND_HASHTAG, KIND_MENTION, KIND_REGEX)
 
 HASHTAG_RE = re.compile(r"#\w+")
 MENTION_RE = re.compile(r"@\w+")
@@ -75,17 +72,13 @@ def read_entries(path, form: str, keys=None):
 
 @dataclass(frozen=True)
 class AnalysisSpec:
+    """One table: its name, and keys(records), which yields every key those
+    records add to the table (a key yielded twice counts twice)."""
+
     name: str
-    kind: str
-    pattern: str | None = None
+    keys: Callable[[Sequence], Iterable[str]]
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown analysis kind: {self.kind}")
-        if (self.pattern is not None) != (self.kind == KIND_REGEX):
-            raise ValueError("pattern is required for regex specs and only for them")
-        if self.pattern is not None:
-            re.compile(self.pattern)
         if not _NAME_RE.match(self.name):
             raise ValueError(f"analysis name not usable as a file name: {self.name!r}")
 
@@ -96,11 +89,47 @@ class AnalysisRow:
     count: int
 
 
+def by_count(row: AnalysisRow) -> tuple[int, str]:
+    """Sort key: descending count, ties broken by ascending key."""
+    return (-row.count, row.key)
+
+
+# The builtin tables' key functions: each record's language, its country
+# when it has one, and every hashtag and mention in its text.
+def languages(records) -> Iterable[str]:
+    return (r.lang for r in records)
+
+
+def countries(records) -> Iterable[str]:
+    return (r.country for r in records if r.country is not None)
+
+
+def hashtags(records) -> Iterable[str]:
+    return chain.from_iterable(HASHTAG_RE.findall(r.text) for r in records)
+
+
+def mentions(records) -> Iterable[str]:
+    return chain.from_iterable(MENTION_RE.findall(r.text) for r in records)
+
+
+def _first_matches(pattern: re.Pattern, records) -> Iterable[str]:
+    """The first match of pattern in each record's text that has one."""
+    matches = (pattern.search(r.text) for r in records)
+    return (m.group(0) for m in matches if m is not None)
+
+
+def regex_spec(name: str, pattern: str) -> AnalysisSpec:
+    """A table of the records whose text matches pattern, keyed by the
+    first match's text. Raises re.error for a pattern that does not
+    compile, ValueError for a name not usable as a file name."""
+    return AnalysisSpec(name, partial(_first_matches, re.compile(pattern)))
+
+
 BUILTIN_SPECS = (
-    AnalysisSpec(KIND_LANG, KIND_LANG),
-    AnalysisSpec(KIND_COUNTRY, KIND_COUNTRY),
-    AnalysisSpec(KIND_HASHTAG, KIND_HASHTAG),
-    AnalysisSpec(KIND_MENTION, KIND_MENTION),
+    AnalysisSpec("builtin_lang", languages),
+    AnalysisSpec("builtin_country", countries),
+    AnalysisSpec("builtin_hashtag", hashtags),
+    AnalysisSpec("builtin_mention", mentions),
 )
 
 
@@ -108,16 +137,20 @@ def load_regex_specs(path) -> list[AnalysisSpec]:
     """Parse a regex-spec file: one "name: pattern" per line.
 
     The lines follow read_entries. Raises ParseError (with line number)
-    for malformed lines, duplicate names and unusable names, RegexError
-    for patterns that do not compile.
+    for malformed lines, duplicate names (a builtin table's name counts
+    as taken) and unusable names, RegexError for patterns that do not
+    compile.
     """
     form = "name: pattern"
+    taken = {spec.name for spec in BUILTIN_SPECS}
     specs: list[AnalysisSpec] = []
     for line_num, name, pattern in read_entries(path, form):
         if not pattern:
             raise ParseError(path, line_num, f"expected '{form}'")
+        if name in taken:
+            raise ParseError(path, line_num, f"duplicate name {name}")
         try:
-            specs.append(AnalysisSpec(name=name, kind=KIND_REGEX, pattern=pattern))
+            specs.append(regex_spec(name, pattern))
         except re.error as exc:
             raise RegexError(path, line_num, f"bad pattern: {exc}") from exc
         except ValueError as exc:
@@ -126,43 +159,17 @@ def load_regex_specs(path) -> list[AnalysisSpec]:
 
 
 def sort_rows(counter: Counter) -> list[AnalysisRow]:
-    """Counter to rows: descending count, ties broken by ascending key."""
-    return [
-        AnalysisRow(key=k, count=n)
-        for k, n in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
+    """Counter to rows in by_count order."""
+    return sorted((AnalysisRow(key=k, count=n) for k, n in counter.items()), key=by_count)
 
 
 def analyze(records, specs) -> dict[str, Counter]:
-    """Run every spec over the records; returns name -> key counts.
+    """Count each spec's keys over the records; returns name -> key counts.
 
-    The language and country builtins count records per key (records
-    with no detected country are excluded); the hashtag and mention
-    builtins count token occurrences; regex specs count matching records
-    keyed by the first match's text. Keys with zero count never appear.
-    Unsorted, so the counts of several calls add up before sort_rows.
+    Keys with zero count never appear. Unsorted, so the counts of several
+    calls add up before sort_rows.
     """
-    results: dict[str, Counter] = {}
-    for spec in specs:
-        counter: Counter = Counter()
-        if spec.kind == KIND_LANG:
-            counter.update(r.lang for r in records)
-        elif spec.kind == KIND_COUNTRY:
-            counter.update(r.country for r in records if r.country is not None)
-        elif spec.kind == KIND_HASHTAG:
-            for r in records:
-                counter.update(HASHTAG_RE.findall(r.text))
-        elif spec.kind == KIND_MENTION:
-            for r in records:
-                counter.update(MENTION_RE.findall(r.text))
-        else:
-            compiled = re.compile(spec.pattern)
-            for r in records:
-                m = compiled.search(r.text)
-                if m is not None:
-                    counter[m.group(0)] += 1
-        results[spec.name] = counter
-    return results
+    return {spec.name: Counter(spec.keys(records)) for spec in specs}
 
 
 def write_rows(path, rows) -> str:
@@ -181,8 +188,6 @@ def write_rows(path, rows) -> str:
 
 def write_csv(name: str, rows, out_dir) -> str:
     """Write one analysis as <out_dir>/<name>.csv and return the path."""
-    if not name:
-        raise ValueError("analysis name must be non-empty")
     os.makedirs(out_dir, exist_ok=True)
     return write_rows(os.path.join(out_dir, f"{name}.csv"), rows)
 

@@ -47,7 +47,7 @@ from .processor import (
     process_file,
     read_processed_file,
 )
-from .pruner import DEFAULT_LIMIT, ORDERS, PruneConfig, prune
+from .pruner import DEFAULT_LIMIT, ORDER_COUNT_DESC, ORDERS, prune
 
 log = logging.getLogger(__name__)
 
@@ -170,9 +170,9 @@ def _analyze_stage(args, record_files, out_dir) -> list[tuple[str, list, str]]:
     return tables
 
 
-def _prune_stage(rows, cfg: PruneConfig, out_path) -> list:
+def _prune_stage(rows, limit: int, order: str, out_path) -> list:
     """Prune one analysis table and write the kept rows to out_path."""
-    pruned = prune(rows, cfg)
+    pruned = prune(rows, limit, order)
     write_rows(out_path, pruned)
     return pruned
 
@@ -198,7 +198,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_prune(args) -> int:
     rows = read_rows_csv(args.in_file)
-    pruned = _prune_stage(rows, PruneConfig(limit=args.limit, order=args.order), args.out_file)
+    pruned = _prune_stage(rows, args.limit, args.order, args.out_file)
     print(f"{len(rows)} -> {len(pruned)} rows -> {args.out_file}")
     return 0
 
@@ -263,9 +263,8 @@ def cmd_pipeline(args) -> int:
         args, _process_stage(args, args.data_dir, args.data_dir, processed), analysis_dir)
     print(f"process: {processed['files']} files, {processed['records']} records")
     os.makedirs(pruned_dir, exist_ok=True)
-    cfg_prune = PruneConfig(limit=args.limit)
     for name, rows, _path in tables:
-        _prune_stage(rows, cfg_prune, os.path.join(pruned_dir, f"{name}.csv"))
+        _prune_stage(rows, args.limit, ORDER_COUNT_DESC, os.path.join(pruned_dir, f"{name}.csv"))
     print(f"analyze: {len(tables)} analyses -> {analysis_dir}")
     print(f"prune: limit {args.limit} -> {pruned_dir}")
     return 0
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_file", required=True, metavar="FILE.csv")
     p.add_argument("--out", dest="out_file", required=True, metavar="FILE.csv")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
-    p.add_argument("--order", choices=ORDERS, default="count_desc")
+    p.add_argument("--order", choices=tuple(ORDERS), default=ORDER_COUNT_DESC)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("gateway", help="pseudonymize records and dispatch category bundles")

@@ -276,13 +276,13 @@ class SearchClient:
                 statuses = None if page is None else page.get("statuses", [])
                 if resp.status == 200 and isinstance(statuses, list):
                     return statuses, page.get("next")
-                error = str((page or {}).get("error", resp.reason))
+                # The status only: the body's error text is the server's.
                 if resp.status == 401:
-                    raise AuthError(error)
+                    raise AuthError("search API rejected the credentials (HTTP 401)")
                 if resp.status == 429:
                     raise RateLimitError(_reset_at(resp, page, now_ms))
                 if resp.status == 400:
-                    raise BadTokenError(error)
+                    raise BadTokenError("search API rejected the request (HTTP 400)")
                 # A 200 lands here too when its body is not a search page.
                 failure = f"server returned {resp.status} and no search page"
             if attempt < self.MAX_RETRIES:
@@ -303,13 +303,14 @@ def _json_object(body: bytes) -> dict | None:
 
 def _reset_at(resp: http.client.HTTPResponse, page: dict | None, now_ms: int) -> int:
     """The body's reset_at_ms, else the header, else the next window boundary;
-    a value that is no integer after now_ms is passed over, never trusted."""
+    a value that is no integer in (now_ms, now_ms + RATE_WINDOW_MS] is
+    passed over, never trusted."""
     for value in ((page or {}).get("reset_at_ms"), resp.getheader("x-rate-limit-reset-ms")):
         try:
             reset_at = int(value)
         except (TypeError, ValueError, OverflowError):  # OverflowError: JSON Infinity
             continue
-        if reset_at > now_ms:
+        if now_ms < reset_at <= now_ms + RATE_WINDOW_MS:
             return reset_at
     return (now_ms // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
 

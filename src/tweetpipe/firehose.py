@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import corpora
-from .clock import SystemClock
 
 RATE_LIMIT_CAPACITY = 450
 RATE_WINDOW_MS = 15 * 60 * 1000
@@ -250,13 +249,12 @@ class FirehoseEngine:
         credentials: Credentials,
         count: int = MAX_PAGE_SIZE,
         next_token: str | None = None,
-        now_ms: int | None = None,
+        *,
+        now_ms: int,
     ) -> ApiPage:
         """Serve one page. Quota is charged before the token is examined,
         so a bad token still burns a request, as on the real service."""
         with self._lock:
-            if now_ms is None:
-                now_ms = SystemClock().now_ms()
             self._check_auth(credentials)
             window = self._window(credentials, now_ms)
             if window.used >= RATE_LIMIT_CAPACITY:
@@ -301,14 +299,10 @@ class FirehoseEngine:
                 reset_at_ms=window.reset_at_ms(),
             )
 
-    def rate_limit_status(
-        self, credentials: Credentials, now_ms: int | None = None
-    ) -> tuple[int, int]:
+    def rate_limit_status(self, credentials: Credentials, now_ms: int) -> tuple[int, int]:
         """(remaining, reset_at_ms) for the caller's current window.
         Does not consume quota."""
         with self._lock:
-            if now_ms is None:
-                now_ms = SystemClock().now_ms()
             self._check_auth(credentials)
             window = self._window(credentials, now_ms)
             return RATE_LIMIT_CAPACITY - window.used, window.reset_at_ms()

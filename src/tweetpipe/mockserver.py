@@ -15,6 +15,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from .clock import SystemClock
 from .firehose import (
     MAX_PAGE_SIZE,
     RATE_STATUS_PATH,
@@ -63,9 +64,9 @@ class _Handler(BaseHTTPRequestHandler):
             app_secret=self.headers.get("x-app-secret", ""),
         )
 
-    def _now_ms(self) -> int | None:
+    def _now_ms(self) -> int:
         virtual = self.headers.get("x-virtual-now-ms")
-        return int(virtual) if virtual is not None else None
+        return int(virtual) if virtual is not None else SystemClock().now_ms()
 
     def do_GET(self):  # noqa: N802 (http.server API)
         parsed = urlparse(self.path)

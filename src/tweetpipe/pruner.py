@@ -6,39 +6,30 @@ plus truncation, and is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .analyzer import AnalysisRow
+from .analyzer import AnalysisRow, by_count
 
 ORDER_COUNT_DESC = "count_desc"
 ORDER_KEY_ASC = "key_asc"
-ORDERS = (ORDER_COUNT_DESC, ORDER_KEY_ASC)
+# Each order's name and its sort key.
+ORDERS = {
+    ORDER_COUNT_DESC: by_count,
+    ORDER_KEY_ASC: lambda row: (row.key, -row.count),
+}
 
 DEFAULT_LIMIT = 100
 
 
-@dataclass(frozen=True)
-class PruneConfig:
-    limit: int = DEFAULT_LIMIT
-    order: str = ORDER_COUNT_DESC
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError("limit must be at least 1")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
-
-
-def prune(rows, cfg: PruneConfig) -> list[AnalysisRow]:
-    """Top rows per the configured order, at most cfg.limit of them.
+def prune(rows, limit: int, order: str) -> list[AnalysisRow]:
+    """Top rows in the named order, at most limit of them.
 
     count_desc sorts by descending count with ties broken by ascending
-    key; key_asc sorts by key alone. Both are total orders over distinct
-    rows, so the result is deterministic and pruning twice changes
-    nothing.
+    key; key_asc sorts by key, then descending count. Both are total
+    orders over distinct rows, so the result is deterministic and pruning
+    twice changes nothing. Raises ValueError for a limit below 1 or an
+    unknown order.
     """
-    if cfg.order == ORDER_COUNT_DESC:
-        ordered = sorted(rows, key=lambda r: (-r.count, r.key))
-    else:
-        ordered = sorted(rows, key=lambda r: (r.key, -r.count))
-    return ordered[: cfg.limit]
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {tuple(ORDERS)}")
+    return sorted(rows, key=ORDERS[order])[:limit]

@@ -48,7 +48,7 @@ from tweetpipe.gateway import (
 from tweetpipe.ledger import ComplianceLedger
 from tweetpipe.mockserver import MockFirehoseServer
 from tweetpipe.processor import ProcessedTweet, default_gazetteer
-from tweetpipe.pruner import ORDER_COUNT_DESC, ORDER_KEY_ASC, PruneConfig, prune
+from tweetpipe.pruner import ORDER_COUNT_DESC, ORDER_KEY_ASC, prune
 
 MODULE_STARTED = time.monotonic()
 RUNTIME_BUDGET_S = 300.0
@@ -376,10 +376,10 @@ def test_criterion_09_analysis_matches_brute_force():
         for limit in (1, 5, 100):
             prune_checks += 2
             desc = sorted(rows, key=lambda r: (-r.count, r.key))[:limit]
-            if prune(rows, PruneConfig(limit=limit, order=ORDER_COUNT_DESC)) == desc:
+            if prune(rows, limit, ORDER_COUNT_DESC) == desc:
                 prune_equal += 1
             by_key = sorted(rows, key=lambda r: (r.key, -r.count))[:limit]
-            if prune(rows, PruneConfig(limit=limit, order=ORDER_KEY_ASC)) == by_key:
+            if prune(rows, limit, ORDER_KEY_ASC) == by_key:
                 prune_equal += 1
 
     ok = analyses_equal and prune_equal == prune_checks

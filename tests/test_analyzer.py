@@ -9,16 +9,12 @@ from tweetpipe.analyzer import (
     AnalysisRow,
     AnalysisSpec,
     BUILTIN_SPECS,
-    KIND_COUNTRY,
-    KIND_HASHTAG,
-    KIND_LANG,
-    KIND_MENTION,
-    KIND_REGEX,
     ParseError,
     RegexError,
     analyze,
     load_regex_specs,
     read_rows_csv,
+    regex_spec,
     sort_rows,
     write_csv,
 )
@@ -49,18 +45,19 @@ def make_pt(text="OT hello", lang="en", country="India", city=None, id="1"):
 
 
 def test_builtin_specs_cover_all_kinds():
-    kinds = {s.kind for s in BUILTIN_SPECS}
-    assert kinds == {KIND_LANG, KIND_COUNTRY, KIND_HASHTAG, KIND_MENTION}
+    names = {s.name for s in BUILTIN_SPECS}
+    assert names == {"builtin_lang", "builtin_country", "builtin_hashtag", "builtin_mention"}
+    # Each rule is a named function, so a spec's repr names it.
+    assert [s.keys.__name__ for s in BUILTIN_SPECS] == [
+        "languages", "countries", "hashtags", "mentions"]
 
 
 def test_spec_validation():
-    AnalysisSpec(name="greets", kind=KIND_REGEX, pattern="hel+o")
+    assert "re.compile('hel+o')" in repr(regex_spec("greets", "hel+o"))
+    with pytest.raises(re.error):
+        regex_spec("x", "(")
     with pytest.raises(ValueError):
-        AnalysisSpec(name="x", kind=KIND_REGEX, pattern=None)
-    with pytest.raises(ValueError):
-        AnalysisSpec(name="x", kind=KIND_LANG, pattern="a")
-    with pytest.raises(ValueError):
-        AnalysisSpec(name="bad/name", kind=KIND_LANG, pattern=None)
+        AnalysisSpec("bad/name", BUILTIN_SPECS[0].keys)
 
 
 def test_load_regex_specs(tmp_path):
@@ -74,7 +71,7 @@ def test_load_regex_specs(tmp_path):
     )
     specs = load_regex_specs(spec_file)
     assert [s.name for s in specs] == ["greets", "laughs"]
-    assert all(s.kind == KIND_REGEX for s in specs)
+    assert [s.keys.args[0].pattern for s in specs] == ["(?i)h[ae]llo", "l(o+)l"]
 
 
 def test_load_regex_specs_rejects_duplicates(tmp_path):
@@ -112,7 +109,7 @@ def test_load_regex_specs_rejects_bad_pattern(tmp_path):
 
 
 def regex_entries(path):
-    return {s.name: s.pattern for s in load_regex_specs(path)}
+    return {s.name: s.keys.args[0].pattern for s in load_regex_specs(path)}
 
 
 def rules_entries(path):
@@ -139,7 +136,8 @@ ALL = tuple(LOADERS)
     ("food: soup\n  : soup\n", 2, ALL),
     ("food: soup\n\n# again\nfood: stew\n", 4, ALL),
     ("# caterers\ncatering: buffet\n", 2, ("rules", "registry")),
-], ids=["missing-colon", "empty-key", "repeated-key", "unknown-category"])
+    ("greets: hello\nbuiltin_lang: \\w+\n", 2, ("regex",)),
+], ids=["missing-colon", "empty-key", "repeated-key", "unknown-category", "builtin-name"])
 def test_loaders_reject_a_bad_line_at_its_number(tmp_path, text, line_num, loaders):
     path = tmp_path / "entries.txt"
     path.write_text(text, encoding="utf-8")
@@ -184,7 +182,7 @@ def test_mentions_count_occurrences():
 
 
 def test_regex_counts_matching_records_once():
-    spec = AnalysisSpec(name="greets", kind=KIND_REGEX, pattern="(?i)hello")
+    spec = regex_spec("greets", "(?i)hello")
     records = [make_pt(text="OT hello hello HELLO"), make_pt(text="OT bye")]
     # one record, keyed by first match
     assert analyze(records, [spec])["greets"] == Counter(hello=1)

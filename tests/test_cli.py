@@ -158,7 +158,8 @@ def regex_pipeline(tmp_path_factory):
 
 def test_regex_pipeline_output_matches_its_golden_digest(regex_pipeline, capsys):
     for name in ("food", "moods", "handles"):
-        assert len((regex_pipeline / "analysis" / f"{name}.csv").read_text().splitlines()) > 2
+        table = regex_pipeline / "analysis" / f"{name}.csv"
+        assert len(table.read_text(encoding="utf-8").splitlines()) > 2
     assert tree_digest(regex_pipeline) == GOLDEN_REGEX_DIGEST
 
 
@@ -168,7 +169,7 @@ def test_key_order_prune_matches_its_golden_digest(regex_pipeline, tmp_path, cap
     assert main(["prune", "--in", str(regex_pipeline / "analysis" / "builtin_hashtag.csv"),
                  "--out", str(out / "builtin_hashtag.csv"),
                  "--order", "key_asc", "--limit", "7"]) == 0
-    assert len((out / "builtin_hashtag.csv").read_text().splitlines()) == 8
+    assert len((out / "builtin_hashtag.csv").read_text(encoding="utf-8").splitlines()) == 8
     assert tree_digest(out) == GOLDEN_KEY_ASC_DIGEST
 
 

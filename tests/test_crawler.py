@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from tweetpipe.cli import main
 from tweetpipe.clock import VirtualClock
 from tweetpipe.codec import TweetRecord, decode_record
 from tweetpipe.crawler import (
@@ -352,14 +353,32 @@ def test_client_retries_a_200_that_is_not_a_search_page(scripted_server, body):
     assert clock.now_ms() - T0 == SearchClient.BACKOFF_START_MS
 
 
+LEAKY_ERROR_BODY = b'{"error": "bad key for @pixel4242 Alice Chen"}'
+
+
 @pytest.mark.parametrize("code,error", [(401, AuthError), (400, BadTokenError)])
 def test_client_maps_error_status_whatever_the_body(scripted_server, code, error):
     url, handler = scripted_server
-    handler.script = [(code, b"[]")]
+    handler.script = [(code, b"[]"), (code, LEAKY_ERROR_BODY)]
     client = SearchClient(url, Credentials(), VirtualClock(T0))
-    with pytest.raises(error):
-        client.search(10, None)
+    for _ in range(2):  # one request per scripted body
+        with pytest.raises(error) as exc_info:
+            client.search(10, None)
+        # The message carries the status, never the server's text.
+        assert str(exc_info.value).endswith(f"(HTTP {code})")
+        assert "pixel4242" not in str(exc_info.value) and "Alice" not in str(exc_info.value)
     client.close()
+    assert handler.calls == 2
+
+
+def test_crawl_cli_prints_no_server_text_on_a_401(scripted_server, tmp_path, capsys):
+    url, handler = scripted_server
+    handler.script = [(401, LEAKY_ERROR_BODY)]
+    assert main(["--data-dir", str(tmp_path), "--virtual-clock", str(T0),
+                 "crawl", "--endpoint", url, "--max-requests", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "401" in err
+    assert "pixel4242" not in err and "Alice Chen" not in err
 
 
 WINDOW_END = (T0 // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
@@ -376,8 +395,10 @@ WINDOW_END = (T0 // RATE_WINDOW_MS + 1) * RATE_WINDOW_MS
     (b'{"reset_at_ms": 0}', {"x-rate-limit-reset-ms": ""}, WINDOW_END),
     (b'{"reset_at_ms": Infinity}', {}, WINDOW_END),
     (b"[]", {"x-rate-limit-reset-ms": "1e99"}, WINDOW_END),
+    (b"{}", {"x-rate-limit-reset-ms": str(T0 + 10**12)}, WINDOW_END),
+    (b"{}", {"x-rate-limit-reset-ms": str(T0 + RATE_WINDOW_MS)}, T0 + RATE_WINDOW_MS),
 ], ids=["body", "header", "bad-body-good-header", "missing", "malformed", "zero", "now",
-        "past-body-empty-header", "infinite", "not-an-object"])
+        "past-body-empty-header", "infinite", "not-an-object", "far-future", "one-window"])
 def test_client_reset_falls_back_to_the_window_boundary(scripted_server, body, headers,
                                                         reset_at):
     url, handler = scripted_server
@@ -389,7 +410,7 @@ def test_client_reset_falls_back_to_the_window_boundary(scripted_server, body, h
     assert exc_info.value.reset_at_ms == reset_at
 
 
-@pytest.mark.parametrize("reset", ["0", "soon"])
+@pytest.mark.parametrize("reset", ["0", "soon", str(T0 + 10**12)])
 def test_run_crawl_waits_out_a_429_whose_reset_is_unusable(scripted_server, tmp_path, reset):
     url, handler = scripted_server
     handler.script = [(429, b"{}", {"x-rate-limit-reset-ms": reset})] * RATE_LIMIT_CAPACITY

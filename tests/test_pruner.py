@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tweetpipe.analyzer import AnalysisRow
-from tweetpipe.pruner import (
-    DEFAULT_LIMIT,
-    ORDER_COUNT_DESC,
-    ORDER_KEY_ASC,
-    PruneConfig,
-    prune,
-)
+from tweetpipe.cli import build_parser
+from tweetpipe.pruner import DEFAULT_LIMIT, ORDER_COUNT_DESC, ORDER_KEY_ASC, prune
 
 
 def rows_of(*pairs):
@@ -19,40 +14,40 @@ def rows_of(*pairs):
 
 def test_keeps_top_n_by_count():
     rows = rows_of(("a", 5), ("b", 9), ("c", 1))
-    cfg = PruneConfig(limit=2)
-    assert prune(rows, cfg) == rows_of(("b", 9), ("a", 5))
+    assert prune(rows, 2, ORDER_COUNT_DESC) == rows_of(("b", 9), ("a", 5))
 
 
 def test_count_ties_break_by_key():
     rows = rows_of(("z", 3), ("a", 3), ("m", 3))
-    cfg = PruneConfig(limit=2)
-    assert prune(rows, cfg) == rows_of(("a", 3), ("m", 3))
+    assert prune(rows, 2, ORDER_COUNT_DESC) == rows_of(("a", 3), ("m", 3))
 
 
 def test_limit_larger_than_input_keeps_everything():
     rows = rows_of(("a", 1), ("b", 2))
-    assert prune(rows, PruneConfig(limit=50)) == rows_of(("b", 2), ("a", 1))
+    assert prune(rows, 50, ORDER_COUNT_DESC) == rows_of(("b", 2), ("a", 1))
 
 
 def test_empty_input():
-    assert prune([], PruneConfig(limit=10)) == []
+    assert prune([], 10, ORDER_COUNT_DESC) == []
 
 
 def test_key_ascending_order():
     rows = rows_of(("b", 1), ("a", 9), ("c", 5))
-    cfg = PruneConfig(limit=2, order=ORDER_KEY_ASC)
-    assert prune(rows, cfg) == rows_of(("a", 9), ("b", 1))
+    assert prune(rows, 2, ORDER_KEY_ASC) == rows_of(("a", 9), ("b", 1))
 
 
 def test_default_limit():
-    assert PruneConfig().limit == DEFAULT_LIMIT
+    parser = build_parser()
+    prune_args = parser.parse_args(["prune", "--in", "a.csv", "--out", "b.csv"])
+    assert (prune_args.limit, prune_args.order) == (DEFAULT_LIMIT, ORDER_COUNT_DESC)
+    assert parser.parse_args(["pipeline"]).limit == DEFAULT_LIMIT
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="^limit must be at least 1$"):
+        prune([], 0, ORDER_COUNT_DESC)
     with pytest.raises(ValueError):
-        PruneConfig(limit=0)
-    with pytest.raises(ValueError):
-        PruneConfig(order="sideways")
+        prune([], 1, "sideways")
 
 
 row_lists = st.lists(
@@ -61,33 +56,30 @@ row_lists = st.lists(
     ),
     max_size=40,
 )
-configs = st.builds(
-    PruneConfig,
-    limit=st.integers(1, 30),
-    order=st.sampled_from([ORDER_COUNT_DESC, ORDER_KEY_ASC]),
-)
+limits = st.integers(1, 30)
+orders = st.sampled_from([ORDER_COUNT_DESC, ORDER_KEY_ASC])
 
 
-@given(rows=row_lists, cfg=configs)
-def test_prune_is_idempotent(rows, cfg):
-    once = prune(rows, cfg)
-    assert prune(once, cfg) == once
+@given(rows=row_lists, limit=limits, order=orders)
+def test_prune_is_idempotent(rows, limit, order):
+    once = prune(rows, limit, order)
+    assert prune(once, limit, order) == once
 
 
-@given(rows=row_lists, cfg=configs)
-def test_prune_output_is_a_bounded_subset(rows, cfg):
-    pruned = prune(rows, cfg)
-    assert len(pruned) <= cfg.limit
+@given(rows=row_lists, limit=limits, order=orders)
+def test_prune_output_is_a_bounded_subset(rows, limit, order):
+    pruned = prune(rows, limit, order)
+    assert len(pruned) <= limit
     pool = list(rows)
     for row in pruned:  # multiset containment
         pool.remove(row)
 
 
-@given(rows=row_lists, cfg=configs)
-def test_prune_output_is_sorted(rows, cfg):
-    pruned = prune(rows, cfg)
+@given(rows=row_lists, limit=limits, order=orders)
+def test_prune_output_is_sorted(rows, limit, order):
+    pruned = prune(rows, limit, order)
     for a, b in zip(pruned, pruned[1:]):
-        if cfg.order == ORDER_COUNT_DESC:
+        if order == ORDER_COUNT_DESC:
             assert (-a.count, a.key) <= (-b.count, b.key)
         else:
             assert (a.key, -a.count) <= (b.key, -b.count)
