@@ -420,6 +420,32 @@ def test_gateway_cli_scrubs_authors_who_tweet_later(tmp_path, capsys):
     assert leaks == []
 
 
+# tree_digest of a seeded gateway run over a seed-7 one-minute pipeline
+# feed: the vault, the ledger and the four sink files. A change that
+# alters any of their bytes, or the counts gateway prints, fails here.
+GOLDEN_GATEWAY_DIGEST = "593ec3bc98c124bb4330182245011a76e18d55860c8e4ce003b29f7c0ba8fe57"
+
+
+def test_gateway_output_matches_its_golden_digest(tmp_path, capsys):
+    feed = tmp_path / "feed"
+    assert main(["--data-dir", str(feed), "--seed", "7",
+                 "pipeline", "--duration", "1m", "--interval-ms", "2000"]) == 0
+    (in_file,) = feed.glob("*.json")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    data = tmp_path / "gw"
+    capsys.readouterr()
+    assert main(["--data-dir", str(data), "--seed", "11", "--virtual-clock", "0",
+                 "gateway", "--no-fsync", "--in", str(in_file), "--registry", str(registry)]) == 0
+    assert capsys.readouterr().out.replace(str(data), "DATA") == (
+        "records=2338\nbundles_dispatched=5989\n"
+        "vault=DATA/vault.jsonl\nledger=DATA/ledger.jsonl\n")
+    scrubbed = sum(line.count("***") for path in (data / "sinks").rglob("bundles.jsonl")
+                   for line in path.read_text(encoding="utf-8").splitlines())
+    assert scrubbed > 0  # the digest covers scrubbed text too
+    assert tree_digest(data) == GOLDEN_GATEWAY_DIGEST
+
+
 def test_ledger_cli_breach_then_report(tmp_path, capsys):
     code = "ab" * 16
     rc = main([
