@@ -132,15 +132,20 @@ def _load_gazetteer_arg(args) -> Gazetteer:
     return default_gazetteer()
 
 
+def _load_specs_arg(args) -> list:
+    """The builtin analyses, then those of the -regex file if one is given."""
+    return [*BUILTIN_SPECS, *(load_regex_specs(args.regex) if args.regex else ())]
+
+
 # Stage helpers shared by the stage subcommands and pipeline. They call the
 # stage functions through the names imported above, so a wrapper installed on
-# those names (as bench/tracer.py does) sees every stage call.
+# those names (as bench/tracer.py does) sees every stage call. Their inputs
+# are loaded by the caller, so pipeline can fail on a bad one before it crawls.
 
 
-def _process_stage(args, in_dir, out_dir, counts: Counter):
+def _process_stage(gazetteer: Gazetteer, in_dir, out_dir, counts: Counter):
     """Lazily process each crawl file under in_dir, yielding its records;
     adds the files, records and skipped lines to counts as it goes."""
-    gazetteer = _load_gazetteer_arg(args)
     for path in find_crawl_files(in_dir):
         records, skipped = process_file(path, gazetteer, out_root=out_dir)
         counts.update(files=1, records=len(records), skipped=skipped)
@@ -148,16 +153,13 @@ def _process_stage(args, in_dir, out_dir, counts: Counter):
         del records  # release this file before the next one is processed
 
 
-def _analyze_stage(args, record_files, out_dir) -> list[tuple[str, list, str]]:
-    """Run the builtin and -regex analyses; returns (name, rows, csv path) per table.
+def _analyze_stage(specs: list, record_files, out_dir) -> list[tuple[str, list, str]]:
+    """Run the analyses specs; returns (name, rows, csv path) per table.
 
     record_files yields one file's records at a time. Each is analyzed and
     dropped before the next is read; the counts add up across files and
     every table is sorted once at the end.
     """
-    specs = list(BUILTIN_SPECS)
-    if args.regex:
-        specs.extend(load_regex_specs(args.regex))
     totals: dict[str, Counter] = {spec.name: Counter() for spec in specs}
     for records in record_files:
         for name, counts in analyze(records, specs).items():
@@ -179,7 +181,7 @@ def _prune_stage(rows, limit: int, order: str, out_path) -> list:
 
 def cmd_process(args) -> int:
     counts = Counter()
-    for records in _process_stage(args, args.in_dir or args.data_dir,
+    for records in _process_stage(_load_gazetteer_arg(args), args.in_dir or args.data_dir,
                                   args.out or args.data_dir, counts):
         del records  # release this file before the next one is processed
     print(f"files={counts['files']}")
@@ -191,7 +193,7 @@ def cmd_process(args) -> int:
 def cmd_analyze(args) -> int:
     record_files = (read_processed_file(path) for path in args.in_files)
     out_dir = args.out or os.path.join(args.data_dir, "analysis")
-    for name, rows, path in _analyze_stage(args, record_files, out_dir):
+    for name, rows, path in _analyze_stage(_load_specs_arg(args), record_files, out_dir):
         print(f"{name}: {len(rows)} keys -> {path}")
     return 0
 
@@ -241,6 +243,8 @@ def cmd_ledger(args) -> int:
 def cmd_pipeline(args) -> int:
     from .mockserver import MockFirehoseServer
 
+    specs = _load_specs_arg(args)
+    gazetteer = _load_gazetteer_arg(args)
     seed = _seed(args)
     start_ms = args.virtual_clock if args.virtual_clock is not None else 0
     clock = VirtualClock(start_ms=start_ms)
@@ -260,7 +264,7 @@ def cmd_pipeline(args) -> int:
     analysis_dir = os.path.join(args.data_dir, "analysis")
     pruned_dir = os.path.join(args.data_dir, "pruned")
     tables = _analyze_stage(
-        args, _process_stage(args, args.data_dir, args.data_dir, processed), analysis_dir)
+        specs, _process_stage(gazetteer, args.data_dir, args.data_dir, processed), analysis_dir)
     print(f"process: {processed['files']} files, {processed['records']} records")
     os.makedirs(pruned_dir, exist_ok=True)
     for name, rows, _path in tables:

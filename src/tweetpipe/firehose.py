@@ -215,7 +215,8 @@ class FirehoseEngine:
         self.duplicate_window_ms = duplicate_window_ms
         self._stream: list[RawTweet] = []
         self._cursors: dict[str, _Cursor] = {}
-        self._windows: dict[str, RateWindow] = {}
+        # One window: _check_auth admits one credential pair.
+        self._window = RateWindow()
         self._last_cursorless_ms: int | None = None
         self._token_counter = 0
         self._token_salt = f"{seed}:"
@@ -226,11 +227,6 @@ class FirehoseEngine:
     def _check_auth(self, creds: Credentials) -> None:
         if creds != self._credentials:
             raise AuthError("bad app key or secret")
-
-    def _window(self, creds: Credentials, now_ms: int) -> RateWindow:
-        window = self._windows.setdefault(creds.app_key, RateWindow())
-        window.roll(now_ms)
-        return window
 
     def _issue_token(self, position: int, now_ms: int) -> str:
         self._token_counter += 1
@@ -256,7 +252,8 @@ class FirehoseEngine:
         so a bad token still burns a request, as on the real service."""
         with self._lock:
             self._check_auth(credentials)
-            window = self._window(credentials, now_ms)
+            window = self._window
+            window.roll(now_ms)
             if window.used >= RATE_LIMIT_CAPACITY:
                 raise RateLimitError(window.reset_at_ms())
             window.used += 1
@@ -304,5 +301,6 @@ class FirehoseEngine:
         Does not consume quota."""
         with self._lock:
             self._check_auth(credentials)
-            window = self._window(credentials, now_ms)
+            window = self._window
+            window.roll(now_ms)
             return RATE_LIMIT_CAPACITY - window.used, window.reset_at_ms()

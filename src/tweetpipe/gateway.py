@@ -189,21 +189,19 @@ class Vault(LineLog):
             return code
         raise VaultError("could not mint a collision-free code")
 
-    def register(self, user_key: str, identifiers=()) -> str:
+    def register(self, user_key: str, avoid: tuple[str, ...] = ()) -> str:
         """Bind user_key to a fresh code, or return the existing one.
 
-        identifiers lists strings (handle, display name, id) the minted
-        code must not contain; hex codes collide with them essentially
-        never, but the check makes the guarantee unconditional.
+        avoid lists strings the minted code must not contain: the user's
+        folded identifiers, as PrivacyGateway.register_user passes them.
+        Hex codes contain them essentially never, but the check makes the
+        guarantee unconditional.
         """
         if not user_key:
             raise ValueError("user_key must be non-empty")
         existing = self._by_key.get(user_key)
         if existing is not None:
             return existing
-        avoid = tuple(
-            i.lower() for i in identifiers if len(i) >= SCRUB_MIN_LENGTH
-        )
         code = self._mint_code(avoid)
         created_at = self._clock.now_ms()
         self._append(
@@ -385,26 +383,12 @@ class PrivacyGateway:
         self.retention_days = retention_days
         # Scrub terms keyed by their folded first SCRUB_MIN_LENGTH
         # characters; each entry holds that prefix's terms and their
-        # lengths, longest first. A registration touches one entry, and a
+        # lengths, longest first. A new term touches one entry, and a
         # scrub is one left-to-right pass with one slice and one dict
         # lookup per position. (A single regex alternation would need
         # recompiling on every registration — quadratic over a large user
         # base.)
         self._scrub_index: dict[str, tuple[set[str], list[int]]] = {}
-        # (user_key, identifiers) pairs whose terms are already indexed.
-        self._indexed: set[tuple[str, tuple]] = set()
-
-    def _add_scrub_terms(self, identifiers) -> None:
-        for ident in identifiers:
-            if len(ident) < SCRUB_MIN_LENGTH:
-                continue
-            term = _fold(ident)
-            terms, lengths = self._scrub_index.setdefault(term[:SCRUB_MIN_LENGTH], (set(), []))
-            if term not in terms:
-                terms.add(term)
-                if len(term) not in lengths:
-                    lengths.append(len(term))
-                    lengths.sort(reverse=True)
 
     def _scrub(self, text: str) -> str:
         """Replace every registered identifier occurrence with ***.
@@ -442,31 +426,34 @@ class PrivacyGateway:
         return "".join(out)
 
     def register_user(self, user_key: str, identifiers=()) -> str:
-        """Vault registration plus scrub-list bookkeeping.
+        """Enrol one user: bind a code and add the identifiers to the scrub list.
 
-        The vault is asked every time, since only it knows whether an
-        erasure means a fresh code; the identifiers are indexed once.
+        Each identifier of SCRUB_MIN_LENGTH characters or more is folded
+        once; the folded terms are both what the minted code must not
+        contain and what the scrub replaces. The vault is asked every
+        time, since only it knows whether an erasure means a fresh code;
+        a term already on the scrub list is left as it is.
         """
-        code = self.vault.register(user_key, identifiers=identifiers)
-        indexed = (user_key, tuple(identifiers))
-        if indexed not in self._indexed:
-            self._indexed.add(indexed)
-            self._add_scrub_terms(identifiers)
+        terms = tuple(_fold(i) for i in identifiers if len(i) >= SCRUB_MIN_LENGTH)
+        code = self.vault.register(user_key, avoid=terms)
+        for term in terms:
+            known, lengths = self._scrub_index.setdefault(term[:SCRUB_MIN_LENGTH], (set(), []))
+            if term not in known:
+                known.add(term)
+                if len(term) not in lengths:
+                    lengths.append(len(term))
+                    lengths.sort(reverse=True)
         return code
 
-    def _register_author(self, t: ProcessedTweet) -> str:
-        return self.register_user(user_key_for(t.username, t.id),
-                                  identifiers=(t.username, t.name, t.id))
-
-    def pseudonymize(self, t: ProcessedTweet) -> list[CategoryBundle]:
-        """One bundle per matched category, identity replaced by a code.
+    def pseudonymize(self, t: ProcessedTweet, code: str) -> list[CategoryBundle]:
+        """One bundle per matched category, identity replaced by code, the
+        code register_user returned for t's author.
 
         The payload carries only the INVULNERABLE_FIELDS, in that order;
         the text is scrubbed of all registered identifiers. Categories are
         decided on the original text, before scrubbing, so classification
         never depends on who is registered.
         """
-        code = self._register_author(t)
         payload = {name: getattr(t, name) for name in INVULNERABLE_FIELDS}
         payload["text"] = self._scrub(t.text)
         return [
@@ -475,19 +462,20 @@ class PrivacyGateway:
         ]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
-        """Pseudonymize and dispatch every record; returns the bundle count.
+        """Enrol every author, fsync the vault, then pseudonymize and
+        dispatch every record; returns the bundle count.
 
-        Every author is registered before the first bundle leaves, so a
+        Every author is enrolled before the first bundle leaves, so a
         mention of a user whose own tweet comes later in the feed is
-        scrubbed too, and the new bindings are fsynced before any
+        scrubbed too, and the new bindings are on disk before any
         disclosure cites them.
         """
-        for t in records:
-            self._register_author(t)
+        codes = [self.register_user(user_key_for(t.username, t.id), (t.username, t.name, t.id))
+                 for t in records]
         self.vault.sync()
         dispatched = 0
-        for t in records:
-            for bundle in self.pseudonymize(t):
+        for t, code in zip(records, codes):
+            for bundle in self.pseudonymize(t, code):
                 self.dispatch(bundle, registry)
                 dispatched += 1
         return dispatched

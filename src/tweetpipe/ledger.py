@@ -141,8 +141,9 @@ class LineLog:
         self._fh.write(lines)
         self._fh.flush()
 
-    def _append(self, obj: dict) -> None:
-        self.append((json.dumps(obj, ensure_ascii=False) + "\n").encode())
+    def _append(self, *objs: dict) -> None:
+        """Append each object as one JSON line, all in one append."""
+        self.append("".join([json.dumps(o, ensure_ascii=False) + "\n" for o in objs]).encode())
 
     def sync(self) -> None:
         """fsync every append so far; nothing to do before the first."""
@@ -284,7 +285,7 @@ class ComplianceLedger(LineLog):
     def _commit(self, entries: list[dict]) -> None:
         """Write the entries in one append, fsync unless turned off, and
         advance the sequence past them."""
-        self.append("".join([json.dumps(e, ensure_ascii=False) + "\n" for e in entries]).encode())
+        self._append(*entries)
         if self._fsync:
             self.sync()
         self._seq += len(entries)

@@ -273,19 +273,10 @@ def test_criterion_07_no_identifier_leaks(tmp_path):
     vault = Vault(tmp_path / "vault.jsonl", clock=VirtualClock(T0))
     ledger = ComplianceLedger(tmp_path / "ledger.jsonl", clock=VirtualClock(T0))
     gateway = PrivacyGateway(vault, ledger)
-    dispatched = 0
     with vault, ledger, registry:
-        # the user base is enrolled up front, so every identifier is on
-        # the scrub list before the first bundle leaves the gateway
-        for record in records:
-            gateway.register_user(
-                user_key_for(record.username, record.id),
-                identifiers=(record.username, record.name, record.id),
-            )
-        for record in records:
-            for bundle in gateway.pseudonymize(record):
-                gateway.dispatch(bundle, registry)
-                dispatched += 1
+        # dispatch_feed, the path `tweetpipe gateway` runs, enrols the whole
+        # feed before the first bundle leaves the gateway
+        dispatched = gateway.dispatch_feed(records, registry)
 
     haystack = (tmp_path / "ledger.jsonl").read_text(encoding="utf-8")
     for category in CATEGORIES:

@@ -185,6 +185,22 @@ def test_pipeline_honors_regex_specs(tmp_path, capsys):
     assert (data / "analysis" / "greets.csv").exists()
 
 
+@pytest.mark.parametrize("option,content,message", [
+    ("-regex", "broken: (\n", "bad.txt:1: bad pattern"),
+    ("--gazetteer", "Atlantis\n", "bad.txt:1: expected city,country"),
+])
+def test_pipeline_rejects_a_bad_input_before_it_crawls(tmp_path, capsys, monkeypatch,
+                                                        option, content, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(content, encoding="utf-8")
+    monkeypatch.setattr(tweetpipe.cli, "run_crawl", lambda *a: pytest.fail("crawl started"))
+    data = tmp_path / "data"
+    assert main(["--data-dir", str(data), "--seed", "7",
+                 "pipeline", "--duration", "1h", option, str(bad)]) == 1
+    assert message in capsys.readouterr().err
+    assert not data.exists()
+
+
 def assert_pipeline_matches_the_stage_commands(tmp_path, *clock_args):
     piped = tmp_path / "piped"
     staged = tmp_path / "staged"

@@ -81,6 +81,17 @@ def gateway(tmp_path):
     ledger.close()
 
 
+def enrol(gateway, pt):
+    """Enrol pt's author as dispatch_feed does; returns the author's code."""
+    return gateway.register_user(user_key_for(pt.username, pt.id),
+                                 identifiers=(pt.username, pt.name, pt.id))
+
+
+def bundles_for(gateway, pt):
+    """Enrol pt's author, then pseudonymize pt under the returned code."""
+    return gateway.pseudonymize(pt, enrol(gateway, pt))
+
+
 # ------------------------------------------------------------- sensitivity
 
 
@@ -160,19 +171,21 @@ def test_minting_retries_on_collision(tmp_path):
 
 
 def test_minting_avoids_identifier_substrings(tmp_path):
-    handle = "abcdef12"
-    tainted = handle + "0" * 24
+    # the identifier is folded before the check: "ABCDEF12" rules out "abcdef12"
+    handle = "ABCDEF12"
+    tainted = handle.lower() + "0" * 24
     clean = "c" * 32
     with Vault(tmp_path / "v.jsonl", rng=FakeRng([tainted, clean])) as vault:
-        code = vault.register("x:1", identifiers=(handle,))
-    assert code == clean
+        gateway = PrivacyGateway(vault, ledger=None, rules=CategoryRules({}))
+        assert gateway.register_user("x:1", identifiers=(handle,)) == clean
 
 
 def test_short_identifiers_do_not_constrain_minting(tmp_path):
     # below 4 chars an avoid-check would reject almost every hex string
     tainted = "abc" + "0" * 29
     with Vault(tmp_path / "v.jsonl", rng=FakeRng([tainted])) as vault:
-        assert vault.register("x:1", identifiers=("abc",)) == tainted
+        gateway = PrivacyGateway(vault, ledger=None, rules=CategoryRules({}))
+        assert gateway.register_user("x:1", identifiers=("abc",)) == tainted
 
 
 def test_vault_survives_reopen(tmp_path):
@@ -310,7 +323,7 @@ def test_bundle_payload_has_no_identity_fields(gateway):
     # the key order is part of the sink format
     assert INVULNERABLE_FIELDS == ("text", "lang", "country", "creation_date")
     pt = make_pt()
-    bundles = gateway.pseudonymize(pt)
+    bundles = bundles_for(gateway, pt)
     assert bundles
     for bundle in bundles:
         assert list(bundle.payload) == list(INVULNERABLE_FIELDS)
@@ -321,28 +334,28 @@ def test_bundle_payload_has_no_identity_fields(gateway):
 
 
 def test_one_bundle_per_category(gateway):
-    bundles = gateway.pseudonymize(make_pt(text="OT flight booked, sushi after"))
+    bundles = bundles_for(gateway, make_pt(text="OT flight booked, sushi after"))
     assert [b.category for b in bundles] == ["food", "travel"]
     assert len({b.code for b in bundles}) == 1
 
 
 def test_self_mention_is_scrubbed(gateway):
     pt = make_pt(text="OT follow @asha_rao for chai takes", username="asha_rao")
-    bundle = gateway.pseudonymize(pt)[0]
+    bundle = bundles_for(gateway, pt)[0]
     assert "asha_rao" not in bundle.payload["text"]
     assert "***" in bundle.payload["text"]
 
 
 def test_other_registered_users_are_scrubbed_too(gateway):
     gateway.register_user("bena_k:77", identifiers=("bena_k", "Bena K", "77"))
-    bundle = gateway.pseudonymize(make_pt(text="OT lunch with @bena_k was fun"))[0]
+    bundle = bundles_for(gateway, make_pt(text="OT lunch with @bena_k was fun"))[0]
     assert "bena_k" not in bundle.payload["text"]
 
 
 def test_scrubbing_is_case_insensitive_and_longest_first(gateway):
     gateway.register_user("anna:1", identifiers=("anna",))
     gateway.register_user("anna_banana:2", identifiers=("anna_banana",))
-    bundle = gateway.pseudonymize(make_pt(text="OT ANNA_BANANA and anna say hi"))[0]
+    bundle = bundles_for(gateway, make_pt(text="OT ANNA_BANANA and anna say hi"))[0]
     text = bundle.payload["text"]
     assert "anna" not in text.lower()
     assert text.count("***") == 2
@@ -351,7 +364,7 @@ def test_scrubbing_is_case_insensitive_and_longest_first(gateway):
 def test_categories_decided_before_scrubbing(gateway):
     # a registered identifier that doubles as a keyword must not change routing
     gateway.register_user("deal:9", identifiers=("deal",))
-    bundles = gateway.pseudonymize(make_pt(text="OT what a deal today"))
+    bundles = bundles_for(gateway, make_pt(text="OT what a deal today"))
     assert [b.category for b in bundles] == ["ecommerce"]
     assert "deal" not in bundles[0].payload["text"]
 
@@ -363,26 +376,47 @@ def recording(calls, fn):
     return wrapper
 
 
-def test_reregistration_indexes_identifiers_once(gateway, monkeypatch):
-    indexed, registered = [], []
-    monkeypatch.setattr(gateway, "_add_scrub_terms", recording(indexed, gateway._add_scrub_terms))
-    monkeypatch.setattr(gateway.vault, "register", recording(registered, gateway.vault.register))
+def test_reenrolment_keeps_codes_and_scrubbing(gateway):
     pt = make_pt(text="OT ping @asha_rao")
-    first = gateway.pseudonymize(pt)[0]
-    assert gateway.pseudonymize(pt)[0].code == first.code
-    assert len(registered) == 2  # the vault is still asked every time
-    assert len(indexed) == 1
+    first = bundles_for(gateway, pt)[0]
+    # the same author enrolled again keeps the same code
+    assert bundles_for(gateway, pt)[0].code == first.code
+    assert len(gateway.vault) == 1
     # an erased user comes back under a fresh code and stays scrubbed
     gateway.erase_user(user_key_for(pt.username, pt.id))
-    again = gateway.pseudonymize(pt)[0]
+    again = bundles_for(gateway, pt)[0]
     assert again.code != first.code
     assert "asha_rao" not in again.payload["text"]
-    assert len(indexed) == 1
-    # new identifiers under a known key are indexed too
-    gateway.register_user(user_key_for(pt.username, pt.id),
-                          identifiers=(pt.username, "Asha R. Rao", pt.id))
-    assert len(indexed) == 2
+    # new identifiers under a known key are scrubbed too
+    assert gateway.register_user(user_key_for(pt.username, pt.id),
+                                 identifiers=(pt.username, "Asha R. Rao", pt.id)) == again.code
     assert gateway._scrub("OT hi Asha R. Rao") == "OT hi ***"
+
+
+def test_dispatch_feed_enrols_each_record_once(gateway, monkeypatch):
+    registered, enrolled_at_pseudonymize = [], []
+    monkeypatch.setattr(gateway.vault, "register", recording(registered, gateway.vault.register))
+    pseudonymize = gateway.pseudonymize
+
+    def counting_pseudonymize(t, code):
+        before = len(registered)
+        bundles = pseudonymize(t, code)
+        assert len(registered) == before  # pseudonymize never asks the vault
+        enrolled_at_pseudonymize.append(before)
+        return bundles
+
+    monkeypatch.setattr(gateway, "pseudonymize", counting_pseudonymize)
+    feed = [make_pt(text="OT sushi @bena_k"),
+            make_pt(text="OT plain words", username="bena_k", name="Bena K", id="77"),
+            make_pt(text="OT flight booked")]
+    registry, sinks = build_registry()
+    assert gateway.dispatch_feed(feed, registry) == 3
+    assert len(registered) == len(feed)
+    # every author was enrolled before the first record was pseudonymized
+    assert enrolled_at_pseudonymize == [len(feed)] * len(feed)
+    assert "bena_k" not in sinks["food"].bundles[0].payload["text"]
+    assert not hasattr(gateway, "_indexed")
+    assert not hasattr(gateway, "_register_author")
 
 
 def reference_scrub(terms, text):
@@ -429,13 +463,20 @@ def scrub_texts(draw, terms):
                           st.text(SCRUB_ALPHABET, max_size=SCRUB_MIN_LENGTH - 1)))
 
 
+class KeyVault:
+    """Vault stand-in whose code for a user is the user key."""
+
+    def register(self, user_key, avoid=()):
+        return user_key
+
+
 @given(st.data())
 def test_scrub_matches_brute_force_as_terms_are_added(data):
-    gw = PrivacyGateway(vault=None, ledger=None, rules=CategoryRules({}))
+    gw = PrivacyGateway(vault=KeyVault(), ledger=None, rules=CategoryRules({}))
     registered = []
-    for _ in range(2):
+    for n in range(2):
         batch = data.draw(scrub_terms())
-        gw._add_scrub_terms(batch)
+        gw.register_user(f"user{n}:{n}", identifiers=batch)
         registered += batch
         for _ in range(3):
             text = data.draw(scrub_texts(registered))
@@ -470,7 +511,7 @@ def build_registry(categories=CATEGORIES):
 
 def test_dispatch_routes_to_matching_sink_only(gateway):
     registry, sinks = build_registry()
-    bundle = gateway.pseudonymize(make_pt(text="OT sushi night"))[0]
+    bundle = bundles_for(gateway, make_pt(text="OT sushi night"))[0]
     assert bundle.category == "food"
     seq = gateway.dispatch(bundle, registry)
     assert [b.code for b in sinks["food"].bundles] == [bundle.code]
@@ -481,7 +522,7 @@ def test_dispatch_routes_to_matching_sink_only(gateway):
 
 def test_dispatch_logs_exactly_one_disclosure(gateway):
     registry, _ = build_registry()
-    bundle = gateway.pseudonymize(make_pt())[0]
+    bundle = bundles_for(gateway, make_pt())[0]
     before = len(gateway.ledger)
     seq = gateway.dispatch(bundle, registry)
     assert len(gateway.ledger) == before + 1
@@ -496,7 +537,7 @@ def test_dispatch_logs_exactly_one_disclosure(gateway):
 
 def test_dispatch_without_service_fails_loudly(gateway):
     registry, _ = build_registry(categories=("food",))
-    bundle = gateway.pseudonymize(make_pt(text="OT plain words"))[0]  # demographic_social
+    bundle = bundles_for(gateway, make_pt(text="OT plain words"))[0]  # demographic_social
     before = len(gateway.ledger)
     with pytest.raises(NoServiceForCategoryError):
         gateway.dispatch(bundle, registry)
@@ -507,7 +548,7 @@ def test_directory_sink_appends_jsonl(tmp_path, gateway):
     sink = DirectorySink(tmp_path / "food")
     with ServiceRegistry() as registry:
         registry.add("food", sink, beneficiary="svc-food")
-        bundle = gateway.pseudonymize(make_pt(text="OT sushi"))[0]
+        bundle = bundles_for(gateway, make_pt(text="OT sushi"))[0]
         gateway.dispatch(bundle, registry)
         gateway.dispatch(bundle, registry)
     lines = (tmp_path / "food" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
@@ -563,7 +604,7 @@ def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeyp
                          beneficiary=f"svc-{category}")
         for text in ("OT sushi night", "OT flight booked, sushi after",
                      "OT plain words", "OT great deal on shoes", "OT sushi again"):
-            for bundle in gateway.pseudonymize(make_pt(text=text)):
+            for bundle in bundles_for(gateway, make_pt(text=text)):
                 gateway.dispatch(bundle, registry)
                 for category in CATEGORIES:
                     assert lines_on_disk(category) == disclosures(f"svc-{category}")
@@ -577,10 +618,10 @@ def test_registry_closes_every_sink_when_a_dispatch_fails(tmp_path, gateway):
         with ServiceRegistry() as registry:
             registry.add("food", directory_sink, beneficiary="svc-food")
             registry.add("travel", list_sink, beneficiary="svc-travel")
-            gateway.dispatch(gateway.pseudonymize(make_pt(text="OT sushi"))[0], registry)
+            gateway.dispatch(bundles_for(gateway, make_pt(text="OT sushi"))[0], registry)
             fh = directory_sink._fh
             assert not fh.closed
-            gateway.dispatch(gateway.pseudonymize(make_pt(text="OT plain words"))[0], registry)
+            gateway.dispatch(bundles_for(gateway, make_pt(text="OT plain words"))[0], registry)
     assert fh.closed
     assert list_sink.closed
 
@@ -619,7 +660,7 @@ def test_http_sink_posts_bundle_as_json(post_server, gateway):
     url, handler = post_server
     with ServiceRegistry() as registry:
         registry.add("food", HttpSink(url), beneficiary="svc-food")
-        bundle = gateway.pseudonymize(make_pt(text="OT sushi night, café after"))[0]
+        bundle = bundles_for(gateway, make_pt(text="OT sushi night, café after"))[0]
         gateway.dispatch(bundle, registry)
     [(content_type, body)] = handler.posts
     assert content_type == "application/json"
@@ -632,7 +673,7 @@ def test_http_sink_rejection_leaves_no_ledger_entry(post_server, gateway):
     handler.status = 500
     with ServiceRegistry() as registry:
         registry.add("food", HttpSink(url), beneficiary="svc-food")
-        bundle = gateway.pseudonymize(make_pt(text="OT sushi"))[0]
+        bundle = bundles_for(gateway, make_pt(text="OT sushi"))[0]
         with pytest.raises(HTTPError):
             gateway.dispatch(bundle, registry)
     assert len(handler.posts) == 1
@@ -681,7 +722,7 @@ def test_registry_load_rejects_duplicate_category(tmp_path):
 
 def test_remap_inverts_pseudonymization(gateway):
     pt = make_pt()
-    bundle = gateway.pseudonymize(pt)[0]
+    bundle = bundles_for(gateway, pt)[0]
     rec = Recommendation(code=bundle.code, category=bundle.category, item="teapot")
     assert gateway.remap(rec) == (user_key_for(pt.username, pt.id), "teapot")
 
@@ -694,7 +735,7 @@ def test_remap_rejects_unknown_codes(gateway):
 
 def test_erase_breaks_remap_and_logs(gateway):
     pt = make_pt()
-    bundle = gateway.pseudonymize(pt)[0]
+    bundle = bundles_for(gateway, pt)[0]
     user_key = user_key_for(pt.username, pt.id)
     report = gateway.erase_user(user_key)
     assert report.code == bundle.code
@@ -758,7 +799,7 @@ def test_no_identifier_reaches_sinks_or_ledger(tmp_path):
     for category in CATEGORIES:
         registry.add(category, DirectorySink(tmp_path / category), beneficiary=f"svc-{category}")
 
-    users = []
+    users, feed = [], []
     for i in range(50):
         username = f"muralist{i:03d}"
         name = f"Kept Name{i:03d}"
@@ -770,9 +811,8 @@ def test_no_identifier_reaches_sinks_or_ledger(tmp_path):
             f"OT trip planned with @{users[rng.randrange(len(users))][0]}",
             "OT sushi and then the museum",
         ])
-        for bundle in gateway.pseudonymize(make_pt(text=text, username=username,
-                                                   name=name, id=uid)):
-            gateway.dispatch(bundle, registry)
+        feed.append(make_pt(text=text, username=username, name=name, id=uid))
+    assert gateway.dispatch_feed(feed, registry) >= len(feed)
     registry.close()
     vault.close()
     ledger.close()
