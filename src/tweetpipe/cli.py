@@ -35,7 +35,6 @@ from .firehose import (
     DEFAULT_APP_SECRET,
     Credentials,
     FirehoseEngine,
-    TweetFactory,
 )
 from .gateway import CategoryRules, PrivacyGateway, ServiceRegistry, Vault
 from .ledger import ComplianceLedger
@@ -47,7 +46,7 @@ from .processor import (
     process_file,
     read_processed_file,
 )
-from .pruner import DEFAULT_LIMIT, ORDER_COUNT_DESC, ORDERS, prune
+from .pruner import DEFAULT_LIMIT, ORDER_COUNT_DESC, ORDERS, check_limit, prune
 
 log = logging.getLogger(__name__)
 
@@ -85,17 +84,7 @@ def _seed(args) -> int:
 def cmd_mock_serve(args) -> int:
     from .mockserver import MockFirehoseServer
 
-    engine = FirehoseEngine(
-        seed=_seed(args),
-        duplicate_mode=args.duplicate_mode,
-        duplicate_window_ms=args.duplicate_window_ms,
-        factory=TweetFactory(
-            seed=_seed(args),
-            empty_location_rate=args.empty_location_rate,
-            und_lang_rate=args.und_lang_rate,
-            retweet_rate=args.retweet_rate,
-        ),
-    )
+    engine = FirehoseEngine(seed=_seed(args), duplicate_mode=args.duplicate_mode)
     server = MockFirehoseServer(engine, port=args.port)
     server.start()
     print(f"serving mock search api at {server.url}", flush=True)
@@ -115,7 +104,6 @@ def cmd_crawl(args) -> int:
         creds=Credentials(app_key=args.key, app_secret=args.secret),
         interval_ms=args.interval_ms,
         use_next=args.use_next,
-        page_count=args.count,
         duration_ms=parse_duration_ms(args.duration) if args.duration else None,
         max_requests=args.max_requests,
         out_dir=args.out or args.data_dir,
@@ -245,6 +233,7 @@ def cmd_pipeline(args) -> int:
 
     specs = _load_specs_arg(args)
     gazetteer = _load_gazetteer_arg(args)
+    check_limit(args.limit)
     seed = _seed(args)
     start_ms = args.virtual_clock if args.virtual_clock is not None else 0
     clock = VirtualClock(start_ms=start_ms)
@@ -292,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mock-serve", help="serve the deterministic mock search API")
     p.add_argument("--port", type=int, default=0, help="port to bind (default: ephemeral)")
-    p.add_argument("--empty-location-rate", type=float, default=0.15)
-    p.add_argument("--und-lang-rate", type=float, default=0.08)
-    p.add_argument("--retweet-rate", type=float, default=0.30)
     p.add_argument("--duplicate-mode", action="store_true",
                    help="re-serve recent tweets on fast cursorless polls")
-    p.add_argument("--duplicate-window-ms", type=int, default=1000)
     p.set_defaults(func=cmd_mock_serve)
 
     p = sub.add_parser("crawl", help="run the rate-limited crawl loop")
@@ -307,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-ms", type=int, default=2000)
     p.add_argument("--use-next", type=parse_bool, default=True, metavar="BOOL",
                    help="follow pagination tokens (default true)")
-    p.add_argument("--count", type=int, default=100, help="tweets per request (max 100)")
     p.add_argument("--duration", default=None, help="crawl length, e.g. 500ms, 2s, 15m, 70h, 8d")
     p.add_argument("--max-requests", type=int, default=None)
     p.add_argument("--out", default=None, help="output root (default: --data-dir)")

@@ -59,7 +59,6 @@ class CrawlConfig:
     creds: Credentials = field(default_factory=Credentials)
     interval_ms: int = 2000
     use_next: bool = True
-    page_count: int = MAX_PAGE_SIZE
     duration_ms: int | None = None
     max_requests: int | None = None
     out_dir: str = "./data"
@@ -67,8 +66,6 @@ class CrawlConfig:
     def __post_init__(self) -> None:
         if self.interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
-        if not 1 <= self.page_count <= MAX_PAGE_SIZE:
-            raise ValueError(f"page_count must be in 1..{MAX_PAGE_SIZE}")
         if self.duration_ms is None and self.max_requests is None:
             raise ValueError("set duration_ms or max_requests, or the crawl never ends")
 
@@ -237,11 +234,11 @@ class SearchClient:
     def close(self) -> None:
         self._conn.close()
 
-    def search(self, count: int, next_token: str | None) -> tuple[list, str | None]:
-        """Fetch one page; returns (status dicts, next token)."""
+    def search(self, next_token: str | None) -> tuple[list, str | None]:
+        """Fetch one page of MAX_PAGE_SIZE tweets; returns (status dicts, next token)."""
         import http.client
 
-        params: dict = {"count": count}
+        params: dict = {"count": MAX_PAGE_SIZE}
         if next_token is not None:
             params["next"] = next_token
         target = self._path + "?" + urlencode(params)
@@ -348,7 +345,7 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
                 token = next_token if cfg.use_next else None
                 stats.requests += 1
                 try:
-                    statuses, next_token = client.search(cfg.page_count, token)
+                    statuses, next_token = client.search(token)
                 except RateLimitError as exc:
                     # Shouldn't happen while our window mirrors the
                     # server's, but survive it if it does.

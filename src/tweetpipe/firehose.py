@@ -6,7 +6,7 @@ The engine reproduces the two behaviours the crawler has to survive:
   aligned to epoch multiples of the span, so every party computing the
   window index from the same clock lands in the same window.
 * An optional duplicate pathology on the cursorless endpoint: polling
-  again within ``duplicate_window_ms`` of the previous cursorless
+  again within ``DUPLICATE_WINDOW_MS`` of the previous cursorless
   request re-serves the tail of the stream instead of fresh tweets.
   Requests that follow the ``next`` cursor never overlap.
 
@@ -29,12 +29,18 @@ RATE_LIMIT_CAPACITY = 450
 RATE_WINDOW_MS = 15 * 60 * 1000
 MAX_PAGE_SIZE = 100
 TOKEN_TTL_MS = 15 * 60 * 1000
+DUPLICATE_WINDOW_MS = 1000
+
+# Share of generated tweets with a blank location, an "und" or empty
+# language, and a retweet flag.
+EMPTY_LOCATION_RATE = 0.15
+UND_LANG_RATE = 0.08
+RETWEET_RATE = 0.30
 
 DEFAULT_APP_KEY = "demo-key"
 DEFAULT_APP_SECRET = "demo-secret"
 
 SEARCH_PATH = "/1.1/search/tweets.json"
-RATE_STATUS_PATH = "/rate_limit_status"
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -140,30 +146,21 @@ class TweetFactory:
     inside tweet text.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        empty_location_rate: float = 0.15,
-        und_lang_rate: float = 0.08,
-        retweet_rate: float = 0.30,
-    ):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
         self._next_id = 1_000_000_000_000_000_000 + self._rng.randrange(10**6)
-        self.empty_location_rate = empty_location_rate
-        self.und_lang_rate = und_lang_rate
-        self.retweet_rate = retweet_rate
 
     def make(self, now_ms: int) -> RawTweet:
         rng = self._rng
         self._next_id += rng.randrange(1, 1000)
 
-        if rng.random() < self.empty_location_rate:
+        if rng.random() < EMPTY_LOCATION_RATE:
             # Users leave the profile field blank or fill it with blanks.
             location = rng.choice(("", " ", "   "))
         else:
             location = rng.choice(corpora.LOCATIONS)
 
-        if rng.random() < self.und_lang_rate:
+        if rng.random() < UND_LANG_RATE:
             lang = rng.choice(("und", "und", "und", ""))
         else:
             lang = rng.choice(corpora.LANGS)
@@ -188,7 +185,7 @@ class TweetFactory:
             name=rng.choice(corpora.FIRST_NAMES) + " " + rng.choice(corpora.LAST_NAMES),
             username=rng.choice(corpora.USERNAME_STEMS) + str(rng.randrange(1, 10**4)),
             text=text,
-            is_retweet=rng.random() < self.retweet_rate,
+            is_retweet=rng.random() < RETWEET_RATE,
         )
 
 
@@ -201,18 +198,9 @@ class _Cursor:
 class FirehoseEngine:
     """In-process core of the mock API; the HTTP layer is a thin shim."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        credentials: Credentials | None = None,
-        duplicate_mode: bool = False,
-        duplicate_window_ms: int = 1000,
-        factory: TweetFactory | None = None,
-    ):
-        self._credentials = credentials or Credentials()
-        self._factory = factory or TweetFactory(seed=seed)
+    def __init__(self, seed: int = 0, duplicate_mode: bool = False):
+        self._factory = TweetFactory(seed=seed)
         self.duplicate_mode = duplicate_mode
-        self.duplicate_window_ms = duplicate_window_ms
         self._stream: list[RawTweet] = []
         self._cursors: dict[str, _Cursor] = {}
         # One window: _check_auth admits one credential pair.
@@ -225,7 +213,7 @@ class FirehoseEngine:
         self.tweets_generated = 0
 
     def _check_auth(self, creds: Credentials) -> None:
-        if creds != self._credentials:
+        if creds != Credentials():
             raise AuthError("bad app key or secret")
 
     def _issue_token(self, position: int, now_ms: int) -> str:
@@ -274,7 +262,7 @@ class FirehoseEngine:
                 stale = (
                     self.duplicate_mode
                     and self._last_cursorless_ms is not None
-                    and now_ms - self._last_cursorless_ms < self.duplicate_window_ms
+                    and now_ms - self._last_cursorless_ms < DUPLICATE_WINDOW_MS
                     and self._stream
                 )
                 if stale:
@@ -295,12 +283,3 @@ class FirehoseEngine:
                 remaining=RATE_LIMIT_CAPACITY - window.used,
                 reset_at_ms=window.reset_at_ms(),
             )
-
-    def rate_limit_status(self, credentials: Credentials, now_ms: int) -> tuple[int, int]:
-        """(remaining, reset_at_ms) for the caller's current window.
-        Does not consume quota."""
-        with self._lock:
-            self._check_auth(credentials)
-            window = self._window
-            window.roll(now_ms)
-            return RATE_LIMIT_CAPACITY - window.used, window.reset_at_ms()

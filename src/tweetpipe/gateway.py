@@ -377,6 +377,10 @@ class PrivacyGateway:
 
     def __init__(self, vault: Vault, ledger: ComplianceLedger, rules: CategoryRules | None = None,
                  retention_days: int = 30):
+        # Checked here too, so no record is enrolled or delivered before
+        # the ledger would refuse to record the disclosure.
+        if retention_days < 1:
+            raise ValueError("retention_days must be at least 1")
         self.vault = vault
         self.ledger = ledger
         self.rules = rules or CategoryRules.default()

@@ -18,7 +18,6 @@ from urllib.parse import parse_qs, urlparse
 from .clock import SystemClock
 from .firehose import (
     MAX_PAGE_SIZE,
-    RATE_STATUS_PATH,
     SEARCH_PATH,
     AuthError,
     BadTokenError,
@@ -73,8 +72,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if parsed.path == SEARCH_PATH:
                 self._do_search(parse_qs(parsed.query))
-            elif parsed.path == RATE_STATUS_PATH:
-                self._do_rate_status()
             else:
                 self._send(404, {"error": "not found"})
         except AuthError as exc:
@@ -101,12 +98,6 @@ class _Handler(BaseHTTPRequestHandler):
             headers={"x-rate-limit-remaining": str(page.remaining),
                      "x-rate-limit-reset-ms": str(page.reset_at_ms)},
         )
-
-    def _do_rate_status(self) -> None:
-        remaining, reset_at = self.engine.rate_limit_status(
-            self._credentials(), now_ms=self._now_ms()
-        )
-        self._send(200, {"remaining": remaining, "reset_at_ms": reset_at})
 
 
 class MockFirehoseServer:

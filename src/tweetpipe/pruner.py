@@ -19,6 +19,12 @@ ORDERS = {
 DEFAULT_LIMIT = 100
 
 
+def check_limit(limit: int) -> None:
+    """Raise ValueError for a prune limit below 1."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+
+
 def prune(rows, limit: int, order: str) -> list[AnalysisRow]:
     """Top rows in the named order, at most limit of them.
 
@@ -28,8 +34,7 @@ def prune(rows, limit: int, order: str) -> list[AnalysisRow]:
     twice changes nothing. Raises ValueError for a limit below 1 or an
     unknown order.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    check_limit(limit)
     if order not in ORDERS:
         raise ValueError(f"order must be one of {tuple(ORDERS)}")
     return sorted(rows, key=ORDERS[order])[:limit]

@@ -188,15 +188,18 @@ def test_pipeline_honors_regex_specs(tmp_path, capsys):
 @pytest.mark.parametrize("option,content,message", [
     ("-regex", "broken: (\n", "bad.txt:1: bad pattern"),
     ("--gazetteer", "Atlantis\n", "bad.txt:1: expected city,country"),
+    ("--limit", None, "limit must be at least 1"),  # takes 0, not a file
 ])
 def test_pipeline_rejects_a_bad_input_before_it_crawls(tmp_path, capsys, monkeypatch,
                                                         option, content, message):
-    bad = tmp_path / "bad.txt"
-    bad.write_text(content, encoding="utf-8")
+    value = "0"
+    if content is not None:
+        value = tmp_path / "bad.txt"
+        value.write_text(content, encoding="utf-8")
     monkeypatch.setattr(tweetpipe.cli, "run_crawl", lambda *a: pytest.fail("crawl started"))
     data = tmp_path / "data"
     assert main(["--data-dir", str(data), "--seed", "7",
-                 "pipeline", "--duration", "1h", option, str(bad)]) == 1
+                 "pipeline", "--duration", "1h", option, str(value)]) == 1
     assert message in capsys.readouterr().err
     assert not data.exists()
 
@@ -402,6 +405,19 @@ def test_gateway_cli_is_deterministic_with_seed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "records=3" in out
     assert "bundles_dispatched=3" in out
+
+
+def test_gateway_rejects_a_bad_retention_before_it_enrols(tmp_path, capsys):
+    in_file = tmp_path / "in.json"
+    write_processed(in_file)
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["--data-dir", str(data), "--seed", "11", "--virtual-clock", "0",
+                 "gateway", "--retention-days", "0",
+                 "--in", str(in_file), "--registry", str(registry)]) == 1
+    assert "retention_days must be at least 1" in capsys.readouterr().err
+    assert not data.exists()  # no vault, ledger or sink file
 
 
 def test_gateway_cli_scrubs_authors_who_tweet_later(tmp_path, capsys):

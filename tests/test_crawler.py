@@ -26,6 +26,7 @@ from tweetpipe.firehose import (
     BadTokenError,
     Credentials,
     FirehoseEngine,
+    MAX_PAGE_SIZE,
     RATE_LIMIT_CAPACITY,
     RATE_WINDOW_MS,
     RateLimitError,
@@ -313,7 +314,7 @@ def test_client_retries_transient_errors(scripted_server):
     url, handler = scripted_server
     handler.script = [500, 503]
     client = SearchClient(url, Credentials(), VirtualClock(T0))
-    statuses, token = client.search(10, None)
+    statuses, token = client.search(None)
     client.close()
     assert (statuses, token) == ([], "tok")
     assert handler.calls == 3
@@ -325,7 +326,7 @@ def test_client_gives_up_after_retry_budget(scripted_server):
     clock = VirtualClock(T0)
     client = SearchClient(url, Credentials(), clock)
     with pytest.raises(FetchError):
-        client.search(10, None)
+        client.search(None)
     client.close()
     assert handler.calls == SearchClient.MAX_RETRIES + 1
     # exponential backoff: 1 s + 2 s + 4 s of (virtual) waiting
@@ -336,7 +337,7 @@ def test_client_charges_every_wire_attempt(scripted_server):
     url, handler = scripted_server
     handler.script = [500]
     client = SearchClient(url, Credentials(), VirtualClock(T0))
-    client.search(10, None)
+    client.search(None)
     client.close()
     assert client.window.used == 2
 
@@ -347,7 +348,7 @@ def test_client_retries_a_200_that_is_not_a_search_page(scripted_server, body):
     handler.script = [(200, body)]
     clock = VirtualClock(T0)
     client = SearchClient(url, Credentials(), clock)
-    assert client.search(10, None) == ([], "tok")
+    assert client.search(None) == ([], "tok")
     client.close()
     assert handler.calls == 2
     assert clock.now_ms() - T0 == SearchClient.BACKOFF_START_MS
@@ -363,7 +364,7 @@ def test_client_maps_error_status_whatever_the_body(scripted_server, code, error
     client = SearchClient(url, Credentials(), VirtualClock(T0))
     for _ in range(2):  # one request per scripted body
         with pytest.raises(error) as exc_info:
-            client.search(10, None)
+            client.search(None)
         # The message carries the status, never the server's text.
         assert str(exc_info.value).endswith(f"(HTTP {code})")
         assert "pixel4242" not in str(exc_info.value) and "Alice" not in str(exc_info.value)
@@ -405,7 +406,7 @@ def test_client_reset_falls_back_to_the_window_boundary(scripted_server, body, h
     handler.script = [(429, body, headers)]
     client = SearchClient(url, Credentials(), VirtualClock(T0))
     with pytest.raises(RateLimitError) as exc_info:
-        client.search(10, None)
+        client.search(None)
     client.close()
     assert exc_info.value.reset_at_ms == reset_at
 
@@ -430,7 +431,7 @@ def test_client_fails_fast_when_nothing_listens():
     sock.close()
     client = SearchClient(f"http://127.0.0.1:{port}", Credentials(), VirtualClock(T0))
     with pytest.raises(FetchError):
-        client.search(10, None)
+        client.search(None)
     client.close()
 
 
@@ -474,7 +475,7 @@ def test_client_reconnects_without_retry_when_server_dropped_idle_connection():
     client = SearchClient(f"http://127.0.0.1:{server.server_address[1]}", Credentials(), clock)
     try:
         for _ in range(5):
-            assert client.search(10, None) == ([], "tok")
+            assert client.search(None) == ([], "tok")
             # The next page is requested on an idle connection the server
             # has already dropped.
             assert handler.dropped.acquire(timeout=5)
@@ -499,7 +500,7 @@ def counted_mock(monkeypatch):
         return conn
 
     monkeypatch.setattr(ThreadingHTTPServer, "get_request", counting)
-    engine = FirehoseEngine(seed=3, credentials=Credentials())
+    engine = FirehoseEngine(seed=3)
     with MockFirehoseServer(engine) as server:
         yield server, accepted
 
@@ -521,18 +522,18 @@ def test_connection_survives_error_responses(counted_mock):
     client = SearchClient(server.url, Credentials(), clock)
     try:
         with pytest.raises(BadTokenError):
-            client.search(10, "junk")
-        statuses, _ = client.search(10, None)
-        assert len(statuses) == 10
+            client.search("junk")
+        statuses, _ = client.search(None)
+        assert len(statuses) == MAX_PAGE_SIZE
 
         for _ in range(RATE_LIMIT_CAPACITY - 2):
             server.engine.search(Credentials(), count=1, now_ms=aligned)
         with pytest.raises(RateLimitError) as exc_info:
-            client.search(10, None)
+            client.search(None)
         assert exc_info.value.reset_at_ms == aligned + RATE_WINDOW_MS
         clock.sleep_ms(RATE_WINDOW_MS)
-        statuses, _ = client.search(10, None)
-        assert len(statuses) == 10
+        statuses, _ = client.search(None)
+        assert len(statuses) == MAX_PAGE_SIZE
     finally:
         client.close()
     assert len(accepted) == 1
@@ -541,11 +542,8 @@ def test_connection_survives_error_responses(counted_mock):
 # --------------------------------------------------------------- run_crawl
 
 
-def crawl(tmp_path, *, seed=42, duplicate_mode=False, engine_creds=None, start_ms=T0,
-          **cfg_kwargs):
-    engine = FirehoseEngine(
-        seed=seed, credentials=engine_creds or Credentials(), duplicate_mode=duplicate_mode
-    )
+def crawl(tmp_path, *, seed=42, duplicate_mode=False, start_ms=T0, **cfg_kwargs):
+    engine = FirehoseEngine(seed=seed, duplicate_mode=duplicate_mode)
     with MockFirehoseServer(engine) as server:
         cfg_kwargs.setdefault("max_requests", 10)
         cfg_kwargs.setdefault("interval_ms", 2000)
@@ -612,7 +610,7 @@ def test_run_crawl_waits_out_rate_limit(tmp_path):
 
 def test_run_crawl_rejects_bad_credentials(tmp_path):
     with pytest.raises(AuthError):
-        crawl(tmp_path, engine_creds=Credentials(app_key="k", app_secret="s"))
+        crawl(tmp_path, creds=Credentials(app_key="k", app_secret="s"))
 
 
 def test_run_crawl_survives_unreachable_endpoint(tmp_path):
@@ -745,7 +743,7 @@ def test_run_crawl_skips_a_field_of_the_wrong_type(scripted_server, tmp_path, fi
 
 
 def test_run_crawl_respects_duration(tmp_path):
-    engine = FirehoseEngine(seed=1, credentials=Credentials())
+    engine = FirehoseEngine(seed=1)
     with MockFirehoseServer(engine) as server:
         cfg = CrawlConfig(endpoint=server.url, out_dir=str(tmp_path),
                           interval_ms=2000, duration_ms=20_000)
@@ -756,7 +754,5 @@ def test_run_crawl_respects_duration(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError):
         CrawlConfig(endpoint="http://x", interval_ms=0, max_requests=1)
-    with pytest.raises(ValueError):
-        CrawlConfig(endpoint="http://x", page_count=101, max_requests=1)
     with pytest.raises(ValueError):
         CrawlConfig(endpoint="http://x")  # no stopping condition

@@ -11,6 +11,7 @@ from tweetpipe.firehose import (
     AuthError,
     BadTokenError,
     Credentials,
+    EMPTY_LOCATION_RATE,
     FirehoseEngine,
     MAX_PAGE_SIZE,
     RATE_LIMIT_CAPACITY,
@@ -19,6 +20,7 @@ from tweetpipe.firehose import (
     RateWindow,
     TOKEN_TTL_MS,
     TweetFactory,
+    UND_LANG_RATE,
     format_created_at,
 )
 from tweetpipe.mockserver import MockFirehoseServer
@@ -60,12 +62,13 @@ def test_ids_strictly_increase_across_pages():
 
 
 def test_field_rates_roughly_match_configuration():
-    factory = TweetFactory(seed=7, empty_location_rate=0.2, und_lang_rate=0.1)
+    factory = TweetFactory(seed=7)
     tweets = [factory.make(T0) for _ in range(10_000)]
     empties = sum(1 for t in tweets if not t.location.strip())
     unds = sum(1 for t in tweets if t.lang in ("", "und"))
-    assert abs(empties - 2_000) < 120  # ~3 sigma for Binomial(10000, 0.2)
-    assert abs(unds - 1_000) < 90
+    # ~3 sigma for Binomial(10000, p), p = 0.15 and 0.08
+    assert abs(empties - 10_000 * EMPTY_LOCATION_RATE) < 107
+    assert abs(unds - 10_000 * UND_LANG_RATE) < 81
     assert any("\n" in t.text for t in tweets)
     assert any("<8>" in t.text for t in tweets)
     assert any(t.is_retweet for t in tweets)
@@ -108,21 +111,11 @@ def test_quota_recovers_after_window_rolls():
     assert page.remaining == RATE_LIMIT_CAPACITY - 1
 
 
-def test_rate_limit_status_is_free():
-    eng = make_engine()
-    assert eng.rate_limit_status(CREDS, now_ms=T0)[0] == RATE_LIMIT_CAPACITY
-    eng.search(CREDS, count=1, now_ms=T0)
-    for _ in range(10):
-        remaining, _ = eng.rate_limit_status(CREDS, now_ms=T0)
-    assert remaining == RATE_LIMIT_CAPACITY - 1
-
-
 def test_rejected_requests_still_burn_quota():
     eng = make_engine()
     with pytest.raises(BadTokenError):
         eng.search(CREDS, count=1, next_token="bogus", now_ms=T0)
-    remaining, _ = eng.rate_limit_status(CREDS, now_ms=T0)
-    assert remaining == RATE_LIMIT_CAPACITY - 1
+    assert eng.search(CREDS, count=1, now_ms=T0).remaining == RATE_LIMIT_CAPACITY - 2
 
 
 def test_rate_window_rolls_to_epoch_grid():
@@ -168,7 +161,7 @@ def test_auth_required():
 
 
 def test_duplicate_mode_overlaps_rapid_cursorless_requests():
-    eng = make_engine(duplicate_mode=True, duplicate_window_ms=1000)
+    eng = make_engine(duplicate_mode=True)
     first = eng.search(CREDS, count=100, now_ms=T0)
     second = eng.search(CREDS, count=100, now_ms=T0 + 500)
     overlap = {t.id for t in first.tweets} & {t.id for t in second.tweets}
@@ -176,14 +169,14 @@ def test_duplicate_mode_overlaps_rapid_cursorless_requests():
 
 
 def test_duplicate_mode_spaced_requests_are_fresh():
-    eng = make_engine(duplicate_mode=True, duplicate_window_ms=1000)
+    eng = make_engine(duplicate_mode=True)
     first = eng.search(CREDS, count=100, now_ms=T0)
     second = eng.search(CREDS, count=100, now_ms=T0 + 2000)
     assert not {t.id for t in first.tweets} & {t.id for t in second.tweets}
 
 
 def test_duplicate_mode_never_affects_token_requests():
-    eng = make_engine(duplicate_mode=True, duplicate_window_ms=1000)
+    eng = make_engine(duplicate_mode=True)
     first = eng.search(CREDS, count=100, now_ms=T0)
     second = eng.search(CREDS, count=100, next_token=first.next_token, now_ms=T0 + 100)
     assert not {t.id for t in first.tweets} & {t.id for t in second.tweets}
@@ -262,13 +255,6 @@ def test_http_rate_limited(server):
     resp, _ = http_get(server, path, params={"count": "1"}, headers=auth_headers())
     assert resp.status == 429
     assert int(resp.headers["x-rate-limit-reset-ms"]) % RATE_WINDOW_MS == 0
-
-
-def test_http_rate_status_endpoint(server):
-    resp, body = http_get(server, "/rate_limit_status", headers=auth_headers())
-    assert resp.status == 200
-    assert body["remaining"] == RATE_LIMIT_CAPACITY
-    assert body["reset_at_ms"] % RATE_WINDOW_MS == 0
 
 
 def test_http_unknown_path(server):

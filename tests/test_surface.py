@@ -1,7 +1,8 @@
 """Every public def and class in the package has a caller outside the tests,
 only the line log appends to files, only ``ledger.py`` opens a file for
-writing, only the entry reader splits ``name: value`` lines, and every
-name the bench tracer wraps is still where it looks.
+writing, only the entry reader splits ``name: value`` lines, every
+name the bench tracer wraps is still where it looks, and the CLI has
+exactly the options listed here.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -9,11 +10,14 @@ only tests use. The allowlist names the few that are reached another way
 or kept on purpose.
 """
 
+import argparse
 import ast
 import importlib
 import os
 import re
 from pathlib import Path
+
+from tweetpipe.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tweetpipe"
@@ -143,3 +147,37 @@ def test_every_traced_name_resolves_where_the_tracer_looks():
         assert callable(owner), (module_name, attr)
     # The tracer replaces the ledger module's os to time every fsync.
     assert importlib.import_module("tweetpipe.ledger").os is os
+
+
+# Each command's option strings, -h/--help aside. A new flag gets in only
+# by an edit here.
+CLI_OPTIONS = {
+    "tweetpipe": ["--data-dir", "--seed", "--verbose", "--version", "--virtual-clock"],
+    "tweetpipe mock-serve": ["--duplicate-mode", "--port"],
+    "tweetpipe crawl": ["--duration", "--endpoint", "--interval-ms", "--key", "--max-requests",
+                        "--out", "--secret", "--use-next"],
+    "tweetpipe process": ["--gazetteer", "--in", "--out"],
+    "tweetpipe analyze": ["--in", "--out", "-regex"],
+    "tweetpipe prune": ["--in", "--limit", "--order", "--out"],
+    "tweetpipe gateway": ["--in", "--ledger", "--no-fsync", "--out", "--registry",
+                          "--retention-days", "--rules", "--vault"],
+    "tweetpipe ledger": ["--ledger"],
+    "tweetpipe ledger report": ["--code"],
+    "tweetpipe ledger breach": ["--codes"],
+    "tweetpipe pipeline": ["--duration", "--gazetteer", "--interval-ms", "--limit", "-regex"],
+}
+
+
+def cli_options(parser: argparse.ArgumentParser, command: str = "tweetpipe") -> dict:
+    """{command: sorted option strings} for the parser and every subcommand."""
+    options = {command: sorted(s for action in parser._actions for s in action.option_strings
+                               if s not in ("-h", "--help"))}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                options.update(cli_options(sub, f"{command} {name}"))
+    return options
+
+
+def test_the_cli_has_exactly_the_listed_options():
+    assert cli_options(build_parser()) == CLI_OPTIONS
