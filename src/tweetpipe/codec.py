@@ -21,7 +21,6 @@ from operator import attrgetter
 
 DELIMITER = "<8>"
 
-_LINE_BREAKS = re.compile(r"\r\n|[\r\n]")
 _CRAWL_PATH = re.compile(r"(\d{2})-(\d{2})-(\d{4})[/\\]tweets-(\d{2}) (AM|PM)\.txt$")
 
 
@@ -64,11 +63,13 @@ def sanitize_field(raw: str) -> str:
     Line breaks become a single space each, any embedded "<8>" becomes
     "<8 >" (lossy but unambiguous), and surrounding whitespace is dropped
     so decoding's delimiter-space trimming cannot alter the field.
-    Idempotent.
+    Idempotent. Raises TypeError if raw is not a string.
     """
-    out = _LINE_BREAKS.sub(" ", raw)
-    out = out.replace(DELIMITER, "<8 >")
-    return out.strip()
+    if not isinstance(raw, str):
+        raise TypeError(f"a field must be a string, not {type(raw).__name__}")
+    # CRLF first, so that it becomes one space, not two.
+    return (raw.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+            .replace(DELIMITER, "<8 >").strip())
 
 
 def encode_record(record: TweetRecord) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import select
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
 from urllib.parse import urlencode, urlsplit
 
@@ -144,22 +144,25 @@ class SeenIds:
     """Bounded set of already-persisted tweet ids.
 
     When full, the oldest entries are evicted first; a very long crawl
-    trades perfect global dedup for bounded memory.
+    trades perfect global dedup for bounded memory. A set answers
+    membership and a deque keeps insertion order for eviction.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._seen: OrderedDict[int, None] = OrderedDict()
+        self._seen: set[int] = set()
+        self._order: deque[int] = deque()
 
     def add(self, tweet_id: int) -> bool:
         """True if the id was new (and is now recorded)."""
         if tweet_id in self._seen:
             return False
-        self._seen[tweet_id] = None
-        while len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
+        self._seen.add(tweet_id)
+        self._order.append(tweet_id)
+        if len(self._order) > self.capacity:
+            self._seen.remove(self._order.popleft())
         return True
 
     def __len__(self) -> int:

@@ -10,6 +10,11 @@ The engine reproduces the two behaviours the crawler has to survive:
   request re-serves the tail of the stream instead of fresh tweets.
   Requests that follow the ``next`` cursor never overlap.
 
+The engine keeps only a window of its stream: the tweets a live
+pagination token can still reach, plus the duplicate-mode tail. Tokens
+stay reusable until they expire, so the window spans at most one token
+lifetime of pages plus one page, however long the crawl runs.
+
 All randomness is seeded, so a given seed always yields the same stream.
 ``mockserver`` serves the engine over HTTP on localhost; this module
 imports no HTTP code.
@@ -149,8 +154,14 @@ class TweetFactory:
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
         self._next_id = 1_000_000_000_000_000_000 + self._rng.randrange(10**6)
+        # The last creation date rendered: a page's tweets share one now_ms,
+        # so they share one string.
+        self._created_ms: int | None = None
+        self._created_at = ""
 
     def make(self, now_ms: int) -> RawTweet:
+        if now_ms != self._created_ms:
+            self._created_ms, self._created_at = now_ms, format_created_at(now_ms)
         rng = self._rng
         self._next_id += rng.randrange(1, 1000)
 
@@ -178,7 +189,7 @@ class TweetFactory:
             text += " <8>"
 
         return RawTweet(
-            creation_date=format_created_at(now_ms),
+            creation_date=self._created_at,
             id=self._next_id,
             lang=lang,
             location=location,
@@ -201,7 +212,10 @@ class FirehoseEngine:
     def __init__(self, seed: int = 0, duplicate_mode: bool = False):
         self._factory = TweetFactory(seed=seed)
         self.duplicate_mode = duplicate_mode
+        # Tweets from absolute position _base on; cursor positions are
+        # absolute, so trimming the front never moves what they serve.
         self._stream: list[RawTweet] = []
+        self._base = 0
         self._cursors: dict[str, _Cursor] = {}
         # One window: _check_auth admits one credential pair.
         self._window = RateWindow()
@@ -228,6 +242,18 @@ class FirehoseEngine:
             self._stream.append(self._factory.make(now_ms))
         self.tweets_generated += n
 
+    def _trim(self, now_ms: int) -> None:
+        """Drop expired cursors, then every tweet before the lowest live
+        cursor and the last MAX_PAGE_SIZE tweets (the duplicate-mode tail)."""
+        self._cursors = {token: cursor for token, cursor in self._cursors.items()
+                         if cursor.expires_at_ms >= now_ms}
+        end = self._base + len(self._stream)
+        keep_from = min((c.position for c in self._cursors.values()), default=end)
+        keep_from = min(keep_from, end - MAX_PAGE_SIZE)
+        if keep_from > self._base:
+            del self._stream[: keep_from - self._base]
+            self._base = keep_from
+
     def search(
         self,
         credentials: Credentials,
@@ -249,13 +275,14 @@ class FirehoseEngine:
                 raise ValueError(f"count must be positive, got {count}")
             count = min(count, MAX_PAGE_SIZE)
 
+            end = self._base + len(self._stream)
             if next_token is not None:
                 cursor = self._cursors.get(next_token)
                 if cursor is None or now_ms > cursor.expires_at_ms:
                     self._cursors.pop(next_token, None)
                     raise BadTokenError("unknown or expired pagination token")
                 start = cursor.position
-                shortfall = start + count - len(self._stream)
+                shortfall = start + count - end
                 if shortfall > 0:
                     self._generate(shortfall, now_ms)
             else:
@@ -268,14 +295,16 @@ class FirehoseEngine:
                 if stale:
                     # Too soon: the stream has not "moved", so the caller
                     # gets the same tail it already saw.
-                    start = max(0, len(self._stream) - count)
+                    start = max(0, end - count)
                 else:
-                    start = len(self._stream)
+                    start = end
                     self._generate(count, now_ms)
                 self._last_cursorless_ms = now_ms
 
-            page = self._stream[start : start + count]
+            offset = start - self._base
+            page = self._stream[offset : offset + count]
             token = self._issue_token(start + len(page), now_ms)
+            self._trim(now_ms)
             self.requests_served += 1
             return ApiPage(
                 tweets=page,

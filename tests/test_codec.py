@@ -1,6 +1,7 @@
 """Record codec and file-naming tests."""
 
 import datetime as dt
+import re
 from dataclasses import replace
 
 import pytest
@@ -43,11 +44,16 @@ def test_sanitize_replaces_newlines_with_spaces():
     assert sanitize_field("a\nb") == "a b"
     assert sanitize_field("a\r\nb") == "a b"
     assert sanitize_field("a\rb") == "a b"
+    assert sanitize_field("a\r\r\nb") == "a  b"
+    assert sanitize_field("a\n\rb") == "a  b"
 
 
 def test_sanitize_breaks_up_delimiter():
     assert sanitize_field("x<8>y") == "x<8 >y"
     assert DELIMITER not in sanitize_field("<8><8>")
+    assert sanitize_field("<8><8>") == "<8 ><8 >"
+    assert sanitize_field("<<8>>") == "<<8 >>"
+    assert sanitize_field("<8\n>") == "<8 >"
 
 
 def test_sanitize_strips_outer_whitespace():
@@ -70,6 +76,34 @@ def test_sanitize_output_is_always_encodable(raw):
     assert DELIMITER not in clean
     assert "\n" not in clean and "\r" not in clean
     assert clean == clean.strip()
+
+
+def reference_sanitize(raw: str) -> str:
+    """The regex form sanitize_field replaced: the model its chain must match."""
+    out = re.sub(r"\r\n|[\r\n]", " ", raw)
+    out = out.replace(DELIMITER, "<8 >")
+    return out.strip()
+
+
+# Line breaks, the delimiter's characters, whitespace the regex ignores but
+# strip() drops (U+0085, U+2028), and one plain letter.
+SANITIZE_ALPHABET = st.sampled_from(["\r", "\n", "<", "8", ">", " ", "\t", "\x85", "\u2028", "a"])
+
+
+@given(st.text(alphabet=SANITIZE_ALPHABET, max_size=40))
+@example("\r\r\n")
+@example("\n\r")
+@example("<8\n>")
+@example("<<8>>")
+@example("<8><8>")
+def test_sanitize_matches_the_regex_reference(raw):
+    assert sanitize_field(raw) == reference_sanitize(raw)
+
+
+@pytest.mark.parametrize("value", [None, 5, b"bytes", ["a"], {"x": 1}])
+def test_sanitize_rejects_a_value_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        sanitize_field(value)
 
 
 # ------------------------------------------------------------ encode/decode

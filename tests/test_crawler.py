@@ -4,10 +4,14 @@ import json
 import logging
 import socket
 import threading
+import tracemalloc
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tweetpipe import crawler
 from tweetpipe.cli import main
 from tweetpipe.clock import VirtualClock
 from tweetpipe.codec import TweetRecord, decode_record
@@ -192,6 +196,34 @@ def test_seen_ids_evicts_oldest_first():
 def test_seen_ids_rejects_bad_capacity():
     with pytest.raises(ValueError):
         SeenIds(capacity=0)
+
+
+class ReferenceSeenIds:
+    """The OrderedDict form SeenIds replaced: the model it must match."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._seen = OrderedDict()
+
+    def add(self, tweet_id):
+        if tweet_id in self._seen:
+            return False
+        self._seen[tweet_id] = None
+        while len(self._seen) > self.capacity:
+            self._seen.popitem(last=False)
+        return True
+
+    def __len__(self):
+        return len(self._seen)
+
+
+@given(capacity=st.integers(1, 5),
+       ids=st.lists(st.one_of(st.integers(0, 8), st.integers(2**63, 2**63 + 2)), max_size=60))
+def test_seen_ids_matches_the_ordered_dict_reference(capacity, ids):
+    seen, model = SeenIds(capacity), ReferenceSeenIds(capacity)
+    for tweet_id in ids:
+        assert seen.add(tweet_id) == model.add(tweet_id)
+        assert len(seen) == len(model)
 
 
 # ------------------------------------------------------------------ writer
@@ -740,6 +772,26 @@ def test_run_crawl_skips_a_field_of_the_wrong_type(scripted_server, tmp_path, fi
     stats, records = crawl_page(scripted_server, tmp_path, [bad, make_tweet(id=2).to_status()])
     assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
     assert [r.id for r in records] == ["2"]
+
+
+def traced_peak_kb(tmp_path, hours):
+    """tracemalloc peak of a virtual crawl, mock server included, in KB."""
+    tracemalloc.start()
+    try:
+        crawl(tmp_path / f"{hours}h", interval_ms=600_000, max_requests=None,
+              duration_ms=hours * 3_600_000)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_crawl_memory_stays_flat_as_the_crawl_grows(tmp_path, monkeypatch):
+    # A small dedup cache fills within the first hour, so what grows after
+    # that is whatever the crawl or the mock keeps per tweet.
+    monkeypatch.setattr(crawler, "DEDUP_CAPACITY", 1000)
+    crawl(tmp_path / "warm-up", max_requests=1)  # imports and caches, untraced
+    short, long = traced_peak_kb(tmp_path, 4), traced_peak_kb(tmp_path, 16)
+    assert long <= 1.25 * short, f"peak {short:.0f} KB at 4 h, {long:.0f} KB at 16 h"
 
 
 def test_run_crawl_respects_duration(tmp_path):

@@ -74,6 +74,13 @@ def test_field_rates_roughly_match_configuration():
     assert any(t.is_retweet for t in tweets)
 
 
+def test_a_page_shares_one_creation_date():
+    page = make_engine().search(CREDS, count=100, now_ms=T0)
+    first = page.tweets[0].creation_date
+    assert first == format_created_at(T0)
+    assert all(t.creation_date is first for t in page.tweets)
+
+
 def test_created_at_formatting():
     ts = int(dt.datetime(2019, 9, 7, 20, 14, 3, tzinfo=dt.timezone.utc).timestamp() * 1000)
     assert format_created_at(ts) == "Sat Sep 07 20:14:03 +0000 2019"
@@ -187,6 +194,52 @@ def test_duplicate_mode_off_by_default():
     first = eng.search(CREDS, count=100, now_ms=T0)
     second = eng.search(CREDS, count=100, now_ms=T0 + 100)
     assert not {t.id for t in first.tweets} & {t.id for t in second.tweets}
+
+
+# ----------------------------------------------------------- stream window
+
+
+def test_reused_token_serves_the_same_tweets_after_later_pages():
+    eng = make_engine()
+    token = eng.search(CREDS, count=100, now_ms=T0).next_token
+    first = eng.search(CREDS, count=100, next_token=token, now_ms=T0 + 2000)
+    for k in range(20):
+        eng.search(CREDS, count=100, now_ms=T0 + 4000 + 2000 * k)
+    again = eng.search(CREDS, count=100, next_token=token, now_ms=T0 + 60_000)
+    assert [t.id for t in again.tweets] == [t.id for t in first.tweets]
+
+
+def test_duplicate_mode_tail_survives_trimming():
+    eng = make_engine(duplicate_mode=True)
+    # Ten minutes apart, each page's token outlives the next page only,
+    # so the stream is trimmed as it goes.
+    for k in range(6):
+        last = eng.search(CREDS, count=100, now_ms=T0 + 600_000 * k)
+    tail = eng.search(CREDS, count=100, now_ms=T0 + 600_000 * 5 + 500)
+    assert [t.id for t in tail.tweets] == [t.id for t in last.tweets]
+
+
+def test_expired_token_is_rejected_and_forgotten():
+    eng = make_engine()
+    token = eng.search(CREDS, count=10, now_ms=T0).next_token
+    with pytest.raises(BadTokenError):
+        eng.search(CREDS, count=10, next_token=token, now_ms=T0 + TOKEN_TTL_MS + 1)
+    assert token not in eng._cursors
+
+
+def test_window_stays_bounded_while_following_tokens():
+    eng = make_engine()
+    spacing_ms = 2000
+    max_tweets = (TOKEN_TTL_MS // spacing_ms + 2) * MAX_PAGE_SIZE
+    max_cursors = TOKEN_TTL_MS // spacing_ms + 1
+    token = None
+    # 500 pages span two rate windows from T0 and stay within quota.
+    for k in range(500):
+        token = eng.search(CREDS, count=100, next_token=token,
+                           now_ms=T0 + spacing_ms * k).next_token
+        assert len(eng._stream) <= max_tweets
+        assert len(eng._cursors) <= max_cursors
+    assert eng.tweets_generated == 500 * MAX_PAGE_SIZE
 
 
 # ------------------------------------------------------------- HTTP facade
