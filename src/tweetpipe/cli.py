@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", default=None, help="ledger file (default: <data-dir>/ledger.jsonl)")
     p.add_argument("--retention-days", type=int, default=30)
     p.add_argument("--no-fsync", action="store_true",
-                   help="skip the per-entry ledger fsync (much faster for bulk feeds, "
+                   help="skip the ledger fsync of each dispatch group (faster for bulk feeds, "
                         "at the cost of durability on power loss)")
     p.set_defaults(func=cmd_gateway)
 

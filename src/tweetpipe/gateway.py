@@ -3,9 +3,9 @@
 The gateway never lets an identity cross the boundary: each user is
 replaced by a stable opaque code from a vault, payloads carry only
 fields classified as invulnerable, text is scrubbed of every registered
-identifier, and each delivery writes a disclosure entry to the
-compliance ledger. Returned recommendations are re-mapped to the real
-user inside the boundary via the same vault.
+identifier, and every bundle's disclosure entry is committed to the
+compliance ledger before the bundle leaves. Returned recommendations are
+re-mapped to the real user inside the boundary via the same vault.
 """
 
 from __future__ import annotations
@@ -15,12 +15,19 @@ import logging
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .analyzer import ParseError, read_entries
 from .clock import SystemClock
-from .ledger import EVENT_DISCLOSURE, EVENT_ERASURE, ComplianceLedger, LineLog
+from .ledger import (
+    EVENT_DELIVERY_FAILED,
+    EVENT_DISCLOSURE,
+    EVENT_ERASURE,
+    ComplianceLedger,
+    LineLog,
+    encode_json,
+)
 from .processor import ProcessedTweet
 
 log = logging.getLogger(__name__)
@@ -52,6 +59,9 @@ SCRUB_REPLACEMENT = "***"
 
 PURPOSE = "recommendation"  # of every disclosure the gateway logs
 SINK_TIMEOUT_S = 10.0
+# Records per dispatch group in dispatch_feed: each group's disclosures
+# are one ledger append and fsync, and each sink gets one delivery.
+DISPATCH_GROUP = 32
 
 
 class UnknownFieldError(KeyError):
@@ -106,11 +116,24 @@ class CategoryBundle:
     code: str
     category: str
     payload: dict
+    # encode_json(payload), encoded here unless given: the bundles of one
+    # record share the payload and its encoding. A cache, not part of the
+    # bundle's value.
+    payload_json: str = field(default="", compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.payload_json:
+            object.__setattr__(self, "payload_json", encode_json(self.payload))
 
     def to_dict(self) -> dict:
         # Not copied: the bundles of one record share the payload, and
         # every caller only serializes the result.
         return {"code": self.code, "category": self.category, "payload": self.payload}
+
+    def line(self) -> str:
+        """encode_json(self.to_dict()), with the payload's encoding spliced in."""
+        return (f'{{"code": {encode_json(self.code)}, "category": {encode_json(self.category)}, '
+                f'"payload": {self.payload_json}}}')
 
 
 @dataclass(frozen=True)
@@ -151,8 +174,9 @@ class Vault(LineLog):
     The file is a LineLog of JSON bind and erase operations; replaying it
     rebuilds the live mapping, so erased bindings stay unreadable forever
     while the history remains auditable. erase fsyncs its tombstone before
-    it returns; new bindings wait for sync(), which the gateway calls
-    before the first disclosure cites them. Codes come from a
+    it returns; new bindings wait in the file's buffer for sync(), which
+    flushes and fsyncs them, and which the gateway calls before the first
+    disclosure cites them. Codes come from a
     cryptographically strong source unless a seeded generator is injected
     for reproducible runs. One thread owns a vault; it takes no lock.
     """
@@ -204,9 +228,8 @@ class Vault(LineLog):
             return existing
         code = self._mint_code(avoid)
         created_at = self._clock.now_ms()
-        self._append(
-            {"op": "bind", "user_key": user_key, "code": code, "created_at": created_at}
-        )
+        self._write((encode_json({"op": "bind", "user_key": user_key, "code": code,
+                                  "created_at": created_at}) + "\n").encode())
         self._by_key[user_key] = code
         self._by_code[code] = user_key
         return code
@@ -216,7 +239,8 @@ class Vault(LineLog):
         code = self._by_key.get(user_key)
         if code is None:
             raise UnknownUserError(user_key)
-        self._append({"op": "erase", "code": code, "at": self._clock.now_ms()})
+        self.append((encode_json({"op": "erase", "code": code, "at": self._clock.now_ms()})
+                     + "\n").encode())
         self.sync()
         del self._by_key[user_key]
         del self._by_code[code]
@@ -283,16 +307,17 @@ class DirectorySink(LineLog):
     """Delivers bundles by appending JSON lines under a directory.
 
     bundles.jsonl is opened on the first delivery and stays open until
-    close(); each bundle is flushed before deliver returns, so the line
-    reaches the OS before the gateway writes its ledger entry. A torn
-    final line left by a crash is cut on that first delivery.
+    close(). A delivery is one write and one flush of all its bundles'
+    lines, made after the gateway committed their ledger entries; it
+    confirms all of them or, if it raises, none. A torn final line left
+    by a crash is cut on the first delivery.
     """
 
     def __init__(self, directory):
         super().__init__(os.path.join(directory, "bundles.jsonl"))
 
-    def deliver(self, bundle: CategoryBundle) -> None:
-        self._append(bundle.to_dict())
+    def deliver(self, bundles: list[CategoryBundle]) -> None:
+        self.append("".join([b.line() + "\n" for b in bundles]).encode())
 
 
 class HttpSink:
@@ -301,17 +326,24 @@ class HttpSink:
     def __init__(self, url: str):
         self.url = url
 
-    def deliver(self, bundle: CategoryBundle) -> None:
-        """POST the bundle; a non-2xx response raises urllib's HTTPError."""
+    def deliver(self, bundles: list[CategoryBundle]) -> None:
+        """POST each bundle in order, one request each. A failed request
+        (a non-2xx response raises urllib's HTTPError) propagates with a
+        `delivered` attribute: the number of bundles posted before it."""
         from urllib.request import Request, urlopen  # only HTTP sinks load it
 
-        request = Request(
-            self.url,
-            data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        with urlopen(request, timeout=SINK_TIMEOUT_S):
-            pass
+        for delivered, bundle in enumerate(bundles):
+            request = Request(
+                self.url,
+                data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with urlopen(request, timeout=SINK_TIMEOUT_S):
+                    pass
+            except Exception as exc:
+                exc.delivered = delivered
+                raise
 
     def close(self) -> None:
         """Nothing to release; each delivery opens and closes its own
@@ -460,14 +492,16 @@ class PrivacyGateway:
         """
         payload = {name: getattr(t, name) for name in INVULNERABLE_FIELDS}
         payload["text"] = self._scrub(t.text)
+        payload_json = encode_json(payload)
         return [
-            CategoryBundle(code=code, category=category, payload=payload)
+            CategoryBundle(code=code, category=category, payload=payload, payload_json=payload_json)
             for category in self.rules.categories_for(t.text)
         ]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
         """Enrol every author, fsync the vault, then pseudonymize and
-        dispatch every record; returns the bundle count.
+        dispatch the records in groups of DISPATCH_GROUP; returns the
+        bundle count.
 
         Every author is enrolled before the first bundle leaves, so a
         mention of a user whose own tweet comes later in the feed is
@@ -478,28 +512,49 @@ class PrivacyGateway:
                  for t in records]
         self.vault.sync()
         dispatched = 0
-        for t, code in zip(records, codes):
-            for bundle in self.pseudonymize(t, code):
-                self.dispatch(bundle, registry)
-                dispatched += 1
+        for start in range(0, len(records), DISPATCH_GROUP):
+            group = zip(records[start:start + DISPATCH_GROUP], codes[start:start + DISPATCH_GROUP])
+            dispatched += len(self.dispatch(
+                [bundle for t, code in group for bundle in self.pseudonymize(t, code)], registry))
         return dispatched
 
-    def dispatch(self, bundle: CategoryBundle, registry: ServiceRegistry) -> int:
-        """Deliver to the category's sink and log exactly one disclosure;
-        returns the entry's ledger sequence number.
+    def dispatch(self, bundles: list[CategoryBundle], registry: ServiceRegistry) -> list[int]:
+        """Log one disclosure per bundle, then deliver them; returns the
+        entries' ledger sequence numbers, in bundle order.
 
-        The ledger entry is written only after the sink accepted the
-        bundle, so the log never claims a delivery that did not happen.
+        Every bundle is routed first, so a category without a service
+        fails before anything is logged. The disclosures are committed in
+        one ledger append (and fsync) before any sink sees a bundle, so a
+        crash can leave a disclosure without its delivery, never a
+        delivery the ledger does not know. Each sink then gets its bundles,
+        in order, in one deliver call. If a sink raises, every bundle it
+        did not confirm, and every bundle of a sink not yet reached, gets
+        a delivery_failed entry citing its disclosure; those are committed
+        and the error propagates. The disclosures stay: a disclosure log
+        may over-report, never under-report. The codes must already be
+        synced in the vault, as dispatch_feed does before its first group.
         """
-        sink, beneficiary = registry.route(bundle.category)
-        sink.deliver(bundle)
-        return self.ledger.record(
-            EVENT_DISCLOSURE,
-            subject_code=bundle.code,
-            beneficiary=beneficiary,
-            purpose=PURPOSE,
-            retention_days=self.retention_days,
-        )
+        routes = [registry.route(b.category) for b in bundles]
+        seqs = self.ledger.record_all(
+            {"event": EVENT_DISCLOSURE, "subject_code": b.code, "beneficiary": beneficiary,
+             "purpose": PURPOSE, "retention_days": self.retention_days}
+            for b, (_sink, beneficiary) in zip(bundles, routes))
+        by_sink: dict[object, list[int]] = {}
+        for i, (sink, _beneficiary) in enumerate(routes):
+            by_sink.setdefault(sink, []).append(i)
+        unconfirmed = set(range(len(bundles)))
+        for sink, indices in by_sink.items():
+            try:
+                sink.deliver([bundles[i] for i in indices])
+            except Exception as exc:
+                unconfirmed.difference_update(indices[:getattr(exc, "delivered", 0)])
+                self.ledger.record_all(
+                    {"event": EVENT_DELIVERY_FAILED, "subject_code": bundles[i].code,
+                     "disclosure_seq": seqs[i]}
+                    for i in sorted(unconfirmed))
+                raise
+            unconfirmed.difference_update(indices)
+        return seqs
 
     def remap(self, rec: Recommendation) -> tuple[str, str]:
         """Resolve a recommendation back to (user_key, item).

@@ -27,11 +27,17 @@ EVENT_DISCLOSURE = "disclosure"
 EVENT_ERASURE = "erasure"
 EVENT_CONSENT = "consent"
 EVENT_BREACH = "breach_notice"
-EVENTS = (EVENT_DISCLOSURE, EVENT_ERASURE, EVENT_CONSENT, EVENT_BREACH)
+# A disclosure whose bundle the sink did not confirm; cites the disclosure.
+EVENT_DELIVERY_FAILED = "delivery_failed"
+EVENTS = (EVENT_DISCLOSURE, EVENT_ERASURE, EVENT_CONSENT, EVENT_BREACH, EVENT_DELIVERY_FAILED)
 
 # One call of the C JSON scanner: (value, end) of the value at the start
 # of a str.
 _scan = json.JSONDecoder().raw_decode
+# The text of every JSON line the package writes, as json.dumps(obj,
+# ensure_ascii=False) renders it; json.dumps builds a new encoder on each
+# call that passes an option, this one is built once.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class ValidationError(ValueError):
@@ -52,7 +58,10 @@ class LineLog:
     line from the file's tail and cuts the file back to it. Either logs
     one warning per torn tail, giving path and byte offset but no
     content; a read-only user changes nothing. Appends take whole lines
-    and are flushed; sync() fsyncs. The JSON subclasses store one object
+    and are flushed; a subclass may also write lines that wait in the
+    file's buffer. sync() flushes and fsyncs, and the first sync after
+    the log created its file fsyncs the directory too, so that the file
+    itself survives a power loss. The JSON subclasses store one object
     per line, and any other committed line raises the class's `error`
     with path:line on replay.
     """
@@ -62,6 +71,7 @@ class LineLog:
     def __init__(self, path):
         self.path = str(path)
         self._fh = None
+        self._new_file = False  # created by this log, directory not yet fsynced
         self.torn_at: int | None = None  # committed end of the torn tail warned about
 
     def _error_at(self, line_num: int, message: str) -> Exception:
@@ -132,23 +142,35 @@ class LineLog:
             self._warn_torn(committed)
             self._fh.truncate(committed)
 
-    def append(self, lines: bytes) -> None:
-        """Append whole lines, each ending in a newline, in one write and flush."""
+    def _write(self, lines: bytes) -> None:
+        """Write whole lines, each ending in a newline, to the file's buffer;
+        they reach the file when it fills, or at the next flush."""
         if self._fh is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._new_file = not os.path.exists(self.path)
             self._fh = open(self.path, "ab")
             self._cut_torn_tail()
         self._fh.write(lines)
+
+    def append(self, lines: bytes) -> None:
+        """Append whole lines, each ending in a newline, in one write and flush."""
+        self._write(lines)
         self._fh.flush()
 
-    def _append(self, *objs: dict) -> None:
-        """Append each object as one JSON line, all in one append."""
-        self.append("".join([json.dumps(o, ensure_ascii=False) + "\n" for o in objs]).encode())
-
     def sync(self) -> None:
-        """fsync every append so far; nothing to do before the first."""
-        if self._fh is not None:
-            os.fsync(self._fh.fileno())
+        """Flush and fsync every write so far, and after the log created its
+        file, fsync its directory once; nothing to do before the first write."""
+        if self._fh is None:
+            return
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        if self._new_file:
+            fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            self._new_file = False
 
     def close(self) -> None:
         if self._fh is not None:
@@ -185,12 +207,13 @@ def replaced_text(path, newline: str):
 class ComplianceLedger(LineLog):
     """Durable audit log with per-event validation.
 
-    Entries are flushed and fsynced before `record` or `record_breach`
-    returns (set fsync=False to trade durability for bulk speed); a
-    breach batch is one append and one fsync. A torn final entry
-    is cut as LineLog describes. On open, an existing file is
-    replayed once to resume the sequence gaplessly. No entry stays in
-    memory: reports stream the file again.
+    Entries are flushed and fsynced before `record`, `record_all` or
+    `record_breach` returns (set fsync=False to trade durability for bulk
+    speed); a batch, such as the disclosures of one dispatch group or a
+    breach notice, is one append and one fsync. A torn final entry is
+    cut as LineLog describes. On open, an existing file is replayed once
+    to resume the sequence gaplessly. No entry stays in memory: reports
+    stream the file again.
     """
 
     error = ValidationError
@@ -221,35 +244,43 @@ class ComplianceLedger(LineLog):
         purpose: str | None = None,
         retention_days: int | None = None,
         minor: bool | None = None,
+        disclosure_seq: int | None = None,
     ) -> int:
         """Append one entry; returns its sequence number.
 
         Disclosures must name beneficiary, purpose and a positive
-        retention_days. The minor flag exists only for consent entries.
-        Fields that make no sense for an event are rejected rather than
-        silently dropped.
+        retention_days. The minor flag exists only for consent entries,
+        and disclosure_seq, the earlier entry it cites, only for
+        delivery_failed entries, which must have one. Fields that make no
+        sense for an event are rejected rather than silently dropped.
         """
-        self._commit([self._entry(self._seq + 1, event, subject_code, beneficiary, purpose,
-                                  retention_days, minor)])
+        entry = self._entry(self._seq + 1, self._iso_now(), event, subject_code, beneficiary,
+                            purpose, retention_days, minor, disclosure_seq)
+        self._commit([encode_json(entry)])
         return self._seq
 
-    def record_breach(self, affected_codes) -> list[int]:
-        """One breach_notice entry per affected code; returns their seqs.
+    def record_all(self, entries) -> list[int]:
+        """Append one entry per dict of record's keyword arguments; returns
+        their seqs. Every entry is checked before any is written; then the
+        batch goes out in one append and one fsync. The entries share one
+        `at`, so a batch never reads as going back in time."""
+        first, at = self._seq + 1, self._iso_now()
+        self._commit([encode_json(self._entry(seq, at, **fields))
+                      for seq, fields in enumerate(entries, first)])
+        return list(range(first, self._seq + 1))
 
-        Every code is checked before any entry is written; then the batch
-        goes out in one append and one fsync.
-        """
+    def record_breach(self, affected_codes) -> list[int]:
+        """One breach_notice entry per affected code, written as record_all
+        writes them; returns their seqs."""
         codes = list(affected_codes)
         if not codes:
             raise ValidationError("a breach notice needs at least one affected code")
-        entries = [self._entry(self._seq + i, EVENT_BREACH, code)
-                   for i, code in enumerate(codes, 1)]
-        self._commit(entries)
-        return [e["seq"] for e in entries]
+        return self.record_all({"event": EVENT_BREACH, "subject_code": code} for code in codes)
 
-    def _entry(self, seq: int, event: str, subject_code: str, beneficiary=None,
-               purpose=None, retention_days=None, minor=None) -> dict:
-        """The entry numbered seq, after the checks record describes."""
+    def _entry(self, seq: int, at: str, event: str, subject_code: str, beneficiary=None,
+               purpose=None, retention_days=None, minor=None, disclosure_seq=None) -> dict:
+        """The entry numbered seq and stamped at, after the checks record
+        describes."""
         if event not in EVENTS:
             raise ValidationError(f"unknown event type: {event!r}")
         if not subject_code or not isinstance(subject_code, str):
@@ -268,6 +299,11 @@ class ComplianceLedger(LineLog):
                 raise ValidationError(f"{event} entries cannot carry a purpose")
         if minor is not None and event != EVENT_CONSENT:
             raise ValidationError("minor flag is only valid on consent entries")
+        if event == EVENT_DELIVERY_FAILED:
+            if not isinstance(disclosure_seq, int) or not 1 <= disclosure_seq < seq:
+                raise ValidationError("delivery_failed must cite an earlier entry's seq")
+        elif disclosure_seq is not None:
+            raise ValidationError("disclosure_seq is only valid on delivery_failed entries")
 
         entry = {
             "seq": seq,
@@ -276,19 +312,23 @@ class ComplianceLedger(LineLog):
             "beneficiary": beneficiary,
             "purpose": purpose,
             "retention_days": retention_days,
-            "at": self._iso_now(),
+            "at": at,
         }
         if minor is not None:
             entry["minor"] = bool(minor)
+        if disclosure_seq is not None:
+            entry["disclosure_seq"] = disclosure_seq
         return entry
 
-    def _commit(self, entries: list[dict]) -> None:
-        """Write the entries in one append, fsync unless turned off, and
-        advance the sequence past them."""
-        self._append(*entries)
+    def _commit(self, lines: list[str]) -> None:
+        """Write the encoded entries in one append, fsync unless turned off,
+        and advance the sequence past them; no entries write nothing."""
+        if not lines:
+            return
+        self.append("".join([line + "\n" for line in lines]).encode())
         if self._fsync:
             self.sync()
-        self._seq += len(entries)
+        self._seq += len(lines)
 
     def _iso_now(self) -> str:
         second = self._clock.now_ms() // 1000
@@ -298,7 +338,11 @@ class ComplianceLedger(LineLog):
         return self._at
 
     def transparency_report(self, code: str) -> str:
-        """Human-readable account of everything logged about a code."""
+        """Human-readable account of everything logged about a code.
+
+        Failed deliveries get their section only when the code has some,
+        so a ledger without them reports as it always did.
+        """
         found: dict[str, list[str]] = {event: [] for event in EVENTS}
         for _line_num, e in self._replay(json.dumps(code, ensure_ascii=False).encode()):
             if e["subject_code"] != code or e["event"] not in found:
@@ -310,10 +354,16 @@ class ComplianceLedger(LineLog):
                 what = "consent recorded" + (f" for {e['purpose']}" if e.get("purpose") else "")
                 if e.get("minor"):
                     what += " (minor account)"
+            elif e["event"] == EVENT_DELIVERY_FAILED:
+                what = f"delivery of entry {e['disclosure_seq']} failed"
             else:
                 what = "binding erased" if e["event"] == EVENT_ERASURE else "breach notification"
             found[e["event"]].append(f"  - {e['at']}: {what} (entry {e['seq']})")
         lines = [f"Transparency report for {code}"]
-        for title, event in zip(("Disclosures", "Erasures", "Consents", "Breach notices"), EVENTS):
-            lines += [f"{title}:", *(found[event] or ["  (none)"])]
+        for title, event in (("Disclosures", EVENT_DISCLOSURE),
+                             ("Failed deliveries", EVENT_DELIVERY_FAILED),
+                             ("Erasures", EVENT_ERASURE), ("Consents", EVENT_CONSENT),
+                             ("Breach notices", EVENT_BREACH)):
+            if found[event] or event != EVENT_DELIVERY_FAILED:
+                lines += [f"{title}:", *(found[event] or ["  (none)"])]
         return "\n".join(lines) + "\n"

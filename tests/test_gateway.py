@@ -6,6 +6,7 @@ import logging
 import os
 import random
 import re
+import stat
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
@@ -13,6 +14,7 @@ from urllib.error import HTTPError
 import pytest
 from hypothesis import given, strategies as st
 
+import tweetpipe.gateway
 import tweetpipe.ledger
 from tweetpipe.clock import VirtualClock
 from tweetpipe.gateway import (
@@ -21,6 +23,7 @@ from tweetpipe.gateway import (
     CategoryBundle,
     CategoryRules,
     DEFAULT_CATEGORY,
+    DISPATCH_GROUP,
     INVULNERABLE_FIELDS,
     PURPOSE,
     VULNERABLE_FIELDS,
@@ -333,6 +336,22 @@ def test_bundle_payload_has_no_identity_fields(gateway):
         assert bundle.code == gateway.vault.code_for(user_key_for(pt.username, pt.id))
 
 
+# Characters JSON escapes or that older encoders mishandle: quote,
+# backslash, control characters, the JavaScript line separators and
+# characters outside the BMP.
+JSON_EDGE_CHARACTERS = st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f",
+                                        "\u2028", "\u2029", "é", "☃", "😀", "\U0010ffff"])
+
+
+@given(text=st.text(JSON_EDGE_CHARACTERS | st.characters(blacklist_categories=("Cs",))),
+       country=st.none() | st.text(max_size=5), code=st.text(JSON_EDGE_CHARACTERS, max_size=3))
+def test_spliced_sink_line_equals_the_encoded_bundle(text, country, code):
+    gw = PrivacyGateway(vault=KeyVault(), ledger=None)
+    for bundle in gw.pseudonymize(make_pt(text=text, country=country), "c" + code):
+        assert bundle.line() == json.dumps(bundle.to_dict(), ensure_ascii=False)
+        assert bundle.line() == CategoryBundle(bundle.code, bundle.category, bundle.payload).line()
+
+
 def test_one_bundle_per_category(gateway):
     bundles = bundles_for(gateway, make_pt(text="OT flight booked, sushi after"))
     assert [b.category for b in bundles] == ["food", "travel"]
@@ -493,8 +512,8 @@ class ListSink:
         self.bundles: list[CategoryBundle] = []
         self.closed = False
 
-    def deliver(self, bundle: CategoryBundle) -> None:
-        self.bundles.append(bundle)
+    def deliver(self, bundles: list[CategoryBundle]) -> None:
+        self.bundles.extend(bundles)
 
     def close(self) -> None:
         self.closed = True
@@ -513,7 +532,7 @@ def test_dispatch_routes_to_matching_sink_only(gateway):
     registry, sinks = build_registry()
     bundle = bundles_for(gateway, make_pt(text="OT sushi night"))[0]
     assert bundle.category == "food"
-    seq = gateway.dispatch(bundle, registry)
+    [seq] = gateway.dispatch([bundle], registry)
     assert [b.code for b in sinks["food"].bundles] == [bundle.code]
     assert all(not sink.bundles for cat, sink in sinks.items() if cat != "food")
     entry = read_entries(gateway.ledger.path)[-1]
@@ -524,7 +543,7 @@ def test_dispatch_logs_exactly_one_disclosure(gateway):
     registry, _ = build_registry()
     bundle = bundles_for(gateway, make_pt())[0]
     before = len(gateway.ledger)
-    seq = gateway.dispatch(bundle, registry)
+    [seq] = gateway.dispatch([bundle], registry)
     assert len(gateway.ledger) == before + 1
     entry = read_entries(gateway.ledger.path)[-1]
     assert entry["seq"] == seq
@@ -540,7 +559,7 @@ def test_dispatch_without_service_fails_loudly(gateway):
     bundle = bundles_for(gateway, make_pt(text="OT plain words"))[0]  # demographic_social
     before = len(gateway.ledger)
     with pytest.raises(NoServiceForCategoryError):
-        gateway.dispatch(bundle, registry)
+        gateway.dispatch([bundle], registry)
     assert len(gateway.ledger) == before  # nothing was delivered, nothing is logged
 
 
@@ -549,8 +568,8 @@ def test_directory_sink_appends_jsonl(tmp_path, gateway):
     with ServiceRegistry() as registry:
         registry.add("food", sink, beneficiary="svc-food")
         bundle = bundles_for(gateway, make_pt(text="OT sushi"))[0]
-        gateway.dispatch(bundle, registry)
-        gateway.dispatch(bundle, registry)
+        gateway.dispatch([bundle], registry)
+        gateway.dispatch([bundle], registry)
     lines = (tmp_path / "food" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0]) == bundle.to_dict()
@@ -563,8 +582,8 @@ def test_directory_sink_cuts_a_torn_tail_at_every_byte(tmp_path, caplog):
                        payload={"text": text, "lang": "en"})
         for c, text in (("a", "OT sushi"), ("b", "OT café ☃ 😀"), ("c", "OT ramen")))
     with DirectorySink(tmp_path / "food") as sink:
-        sink.deliver(first)
-        sink.deliver(second)
+        sink.deliver([first])
+        sink.deliver([second])
     data = path.read_bytes()
     head = data[:data.index(b"\n") + 1]
     last = data[len(head):]
@@ -576,14 +595,14 @@ def test_directory_sink_cuts_a_torn_tail_at_every_byte(tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="tweetpipe.ledger"):
             with DirectorySink(tmp_path / "food") as sink:
                 assert path.read_bytes() == torn  # opening leaves the file alone
-                sink.deliver(third)
+                sink.deliver([third])
         expected = f"{path}: skipping a torn final line at byte {len(head)}"
         assert [r.getMessage() for r in caplog.records] == ([expected] if cut else [])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line) for line in lines] == [first.to_dict(), third.to_dict()]
 
 
-def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeypatch):
+def test_ledger_entry_is_on_disk_before_its_sink_line(tmp_path, gateway, monkeypatch):
     def lines_on_disk(category):
         path = tmp_path / category / "bundles.jsonl"
         return len(path.read_text(encoding="utf-8").splitlines()) if path.exists() else 0
@@ -591,23 +610,23 @@ def test_sink_line_is_on_disk_before_its_ledger_entry(tmp_path, gateway, monkeyp
     def disclosures(beneficiary):
         return sum(e["beneficiary"] == beneficiary for e in read_entries(gateway.ledger.path))
 
-    record = gateway.ledger.record
+    deliver = DirectorySink.deliver
 
-    def checked_record(event, subject_code, beneficiary=None, **fields):
-        assert lines_on_disk(beneficiary.removeprefix("svc-")) == disclosures(beneficiary) + 1
-        return record(event, subject_code, beneficiary=beneficiary, **fields)
+    def checked_deliver(sink, bundles):
+        category = os.path.basename(os.path.dirname(sink.path))
+        assert disclosures(f"svc-{category}") == lines_on_disk(category) + len(bundles)
+        deliver(sink, bundles)
 
-    monkeypatch.setattr(gateway.ledger, "record", checked_record)
+    monkeypatch.setattr(DirectorySink, "deliver", checked_deliver)
     with ServiceRegistry() as registry:
         for category in CATEGORIES:
             registry.add(category, DirectorySink(tmp_path / category),
                          beneficiary=f"svc-{category}")
         for text in ("OT sushi night", "OT flight booked, sushi after",
                      "OT plain words", "OT great deal on shoes", "OT sushi again"):
-            for bundle in bundles_for(gateway, make_pt(text=text)):
-                gateway.dispatch(bundle, registry)
-                for category in CATEGORIES:
-                    assert lines_on_disk(category) == disclosures(f"svc-{category}")
+            gateway.dispatch(bundles_for(gateway, make_pt(text=text)), registry)
+            for category in CATEGORIES:
+                assert lines_on_disk(category) == disclosures(f"svc-{category}")
     assert len(gateway.ledger) == 6
 
 
@@ -618,10 +637,10 @@ def test_registry_closes_every_sink_when_a_dispatch_fails(tmp_path, gateway):
         with ServiceRegistry() as registry:
             registry.add("food", directory_sink, beneficiary="svc-food")
             registry.add("travel", list_sink, beneficiary="svc-travel")
-            gateway.dispatch(bundles_for(gateway, make_pt(text="OT sushi"))[0], registry)
+            gateway.dispatch([bundles_for(gateway, make_pt(text="OT sushi"))[0]], registry)
             fh = directory_sink._fh
             assert not fh.closed
-            gateway.dispatch(bundles_for(gateway, make_pt(text="OT plain words"))[0], registry)
+            gateway.dispatch([bundles_for(gateway, make_pt(text="OT plain words"))[0]], registry)
     assert fh.closed
     assert list_sink.closed
 
@@ -630,12 +649,13 @@ class _RecordingHandler(BaseHTTPRequestHandler):
     """Records each POST and answers with ``status``."""
 
     status = 200
+    failing_from = 1  # the first post answered with status
     posts: list
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).posts.append((self.headers["Content-Type"], body))
-        self.send_response(self.status)
+        self.send_response(self.status if len(self.posts) >= self.failing_from else 200)
         self.send_header("Content-Length", "0")
         self.end_headers()
 
@@ -661,23 +681,66 @@ def test_http_sink_posts_bundle_as_json(post_server, gateway):
     with ServiceRegistry() as registry:
         registry.add("food", HttpSink(url), beneficiary="svc-food")
         bundle = bundles_for(gateway, make_pt(text="OT sushi night, café after"))[0]
-        gateway.dispatch(bundle, registry)
+        gateway.dispatch([bundle], registry)
     [(content_type, body)] = handler.posts
     assert content_type == "application/json"
     assert json.loads(body) == bundle.to_dict()
     assert len(gateway.ledger) == 1
 
 
-def test_http_sink_rejection_leaves_no_ledger_entry(post_server, gateway):
+def test_http_sink_rejection_is_logged_as_a_failed_delivery(post_server, gateway):
     url, handler = post_server
     handler.status = 500
     with ServiceRegistry() as registry:
         registry.add("food", HttpSink(url), beneficiary="svc-food")
         bundle = bundles_for(gateway, make_pt(text="OT sushi"))[0]
         with pytest.raises(HTTPError):
-            gateway.dispatch(bundle, registry)
+            gateway.dispatch([bundle], registry)
     assert len(handler.posts) == 1
-    assert len(gateway.ledger) == 0
+    disclosure, failure = read_entries(gateway.ledger.path)
+    assert (disclosure["seq"], disclosure["event"], disclosure["subject_code"]) == \
+        (1, "disclosure", bundle.code)
+    assert (failure["seq"], failure["event"], failure["subject_code"],
+            failure["disclosure_seq"]) == (2, "delivery_failed", bundle.code, 1)
+    assert len(gateway.ledger) == 2
+
+
+def test_a_failed_delivery_logs_every_bundle_it_did_not_confirm(post_server, gateway):
+    url, handler = post_server
+    handler.status, handler.failing_from = 503, 2
+    travel = ListSink()
+    with ServiceRegistry() as registry:
+        registry.add("food", HttpSink(url), beneficiary="svc-food")
+        registry.add("travel", travel, beneficiary="svc-travel")
+        bundles = [bundles_for(gateway, make_pt(text=text, username=f"user{i}", id=f"{i}"))[0]
+                   for i, text in enumerate(("OT sushi", "OT flight", "OT pizza", "OT lunch"))]
+        assert [b.category for b in bundles] == ["food", "travel", "food", "food"]
+        with pytest.raises(HTTPError):
+            gateway.dispatch(bundles, registry)
+    # food posted bundle 0, was refused bundle 2 and never sent bundle 3;
+    # travel, which comes after food, got nothing
+    assert [json.loads(body) for _type, body in handler.posts] == \
+        [bundles[0].to_dict(), bundles[2].to_dict()]
+    assert travel.bundles == []
+    entries = read_entries(gateway.ledger.path)
+    assert [(e["event"], e["subject_code"]) for e in entries[:4]] == \
+        [("disclosure", b.code) for b in bundles]
+    assert [(e["seq"], e["event"], e["subject_code"], e["disclosure_seq"]) for e in entries[4:]] \
+        == [(5 + n, "delivery_failed", bundles[i].code, i + 1) for n, i in enumerate((1, 2, 3))]
+
+
+def test_a_failed_directory_append_confirms_none(tmp_path, gateway, monkeypatch):
+    def full_disk(sink, bundles):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(DirectorySink, "deliver", full_disk)
+    with ServiceRegistry() as registry:
+        registry.add("food", DirectorySink(tmp_path / "food"), beneficiary="svc-food")
+        bundles = bundles_for(gateway, make_pt(text="OT sushi")) * 2
+        with pytest.raises(OSError):
+            gateway.dispatch(bundles, registry)
+    assert [(e["event"], e.get("disclosure_seq")) for e in read_entries(gateway.ledger.path)] == \
+        [("disclosure", None), ("disclosure", None), ("delivery_failed", 1), ("delivery_failed", 2)]
 
 
 def test_registry_load(tmp_path):
@@ -760,11 +823,16 @@ def test_vault_is_durable_before_the_ledger_cites_it(tmp_path, monkeypatch):
             return getattr(real_os, name)
 
         def fsync(self, fd):
-            is_vault = real_os.path.samestat(real_os.fstat(fd), real_os.stat(vault_path))
-            synced.append(("vault" if is_vault else "ledger", lines(vault_path), lines(ledger_path)))
+            st = real_os.fstat(fd)
+            if real_os.path.samestat(st, real_os.stat(vault_path)):
+                synced_file = "vault"
+            else:
+                synced_file = "directory" if stat.S_ISDIR(st.st_mode) else "ledger"
+            synced.append((synced_file, lines(vault_path), lines(ledger_path)))
             real_os.fsync(fd)
 
     monkeypatch.setattr(tweetpipe.ledger, "os", FsyncSpy())
+    monkeypatch.setattr(tweetpipe.gateway, "DISPATCH_GROUP", 2)
     feed = [make_pt(text="OT sushi", username=f"user{i}", name=f"Name {i}", id=f"{i}")
             for i in range(3)]
     with Vault(vault_path, clock=VirtualClock(T0)) as vault, \
@@ -773,13 +841,43 @@ def test_vault_is_durable_before_the_ledger_cites_it(tmp_path, monkeypatch):
         registry.add("food", DirectorySink(tmp_path / "food"), beneficiary="svc-food")
         gateway = PrivacyGateway(vault, ledger)
         assert gateway.dispatch_feed(feed, registry) == 3
-        # one vault fsync for all three bindings, before the first disclosure
-        assert synced == [("vault", 3, 0), ("ledger", 3, 1), ("ledger", 3, 2), ("ledger", 3, 3)]
+        # one vault fsync for all three bindings, before the first disclosure;
+        # then one ledger fsync per group of two records; each new file's
+        # directory once
+        assert synced == [("vault", 3, 0), ("directory", 3, 0),
+                          ("ledger", 3, 2), ("directory", 3, 2), ("ledger", 3, 3)]
         synced.clear()
         gateway.erase_user(user_key_for("user1", "1"))
         # the tombstone is on disk before the ledger's erasure entry is written
         assert synced == [("vault", 4, 3), ("ledger", 4, 4)]
     assert read_entries(ledger_path)[-1]["event"] == "erasure"
+
+
+def test_one_ledger_fsync_per_dispatch_group(tmp_path, monkeypatch):
+    real_os = tweetpipe.ledger.os
+    ledger_path = tmp_path / "ledger.jsonl"
+    ledger_fsyncs = []
+
+    class FsyncSpy:
+        def __getattr__(self, name):
+            return getattr(real_os, name)
+
+        def fsync(self, fd):
+            if ledger_path.exists() and real_os.path.samestat(real_os.fstat(fd),
+                                                              real_os.stat(ledger_path)):
+                ledger_fsyncs.append(fd)
+            real_os.fsync(fd)
+
+    monkeypatch.setattr(tweetpipe.ledger, "os", FsyncSpy())
+    feed = [make_pt(text="OT flight booked, sushi after", username=f"user{i}", id=f"{i}")
+            for i in range(70)]
+    with Vault(tmp_path / "vault.jsonl", clock=VirtualClock(T0)) as vault, \
+            ComplianceLedger(ledger_path, clock=VirtualClock(T0)) as ledger:
+        registry, sinks = build_registry()
+        assert PrivacyGateway(vault, ledger).dispatch_feed(feed, registry) == 140
+    assert len(ledger_fsyncs) == -(-len(feed) // DISPATCH_GROUP)
+    assert [b.code for b in sinks["food"].bundles] == [b.code for b in sinks["travel"].bundles]
+    assert [e["seq"] for e in read_entries(ledger_path)] == list(range(1, 141))
 
 
 def test_erase_unknown_user(gateway):

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import stat
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from tweetpipe.ledger import (
     ComplianceLedger,
     EVENT_BREACH,
     EVENT_CONSENT,
+    EVENT_DELIVERY_FAILED,
     EVENT_DISCLOSURE,
     EVENT_ERASURE,
     ValidationError,
@@ -99,6 +101,43 @@ def test_unknown_event_and_empty_code(ledger):
         ledger.record("subpoena", CODE)
     with pytest.raises(ValidationError):
         ledger.record(EVENT_ERASURE, "")
+
+
+def test_delivery_failed_must_cite_an_earlier_entry(ledger):
+    disclose(ledger)
+    for cited in (None, 0, 2, "1"):
+        with pytest.raises(ValidationError):
+            ledger.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=cited)
+    with pytest.raises(ValidationError):
+        ledger.record(EVENT_BREACH, CODE, disclosure_seq=1)
+    assert ledger.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=1) == 2
+    assert read_entries(ledger.path)[-1]["disclosure_seq"] == 1
+
+
+def test_record_all_checks_every_entry_before_writing_any(ledger):
+    good = {"event": EVENT_BREACH, "subject_code": CODE}
+    with pytest.raises(ValidationError):
+        ledger.record_all([good, {"event": EVENT_ERASURE, "subject_code": ""}])
+    assert len(ledger) == 0
+    assert not os.path.exists(ledger.path)
+    assert ledger.record_all([]) == []
+    assert not os.path.exists(ledger.path)
+    assert ledger.record_all([good, good]) == [1, 2]
+
+
+def test_a_batch_shares_one_timestamp(tmp_path):
+    clock = VirtualClock(T0)
+
+    def codes():  # the clock crosses a second boundary mid-batch
+        yield CODE
+        clock.sleep_ms(1_500)
+        yield OTHER
+
+    with ComplianceLedger(tmp_path / "l.jsonl", clock=clock) as led:
+        led.record_all({"event": EVENT_BREACH, "subject_code": c} for c in codes())
+        led.record(EVENT_BREACH, CODE)
+    stamps = [e["at"] for e in read_entries(tmp_path / "l.jsonl")]
+    assert stamps[0] == stamps[1] < stamps[2]
 
 
 def test_failed_validation_writes_nothing(ledger):
@@ -354,6 +393,47 @@ def test_record_breach_writes_the_batch_with_one_fsync(tmp_path, monkeypatch):
     assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
 
 
+def test_a_new_file_gets_one_directory_fsync(tmp_path, monkeypatch):
+    real_os = tweetpipe.ledger.os
+    synced = []
+
+    class FsyncSpy:
+        def __getattr__(self, name):
+            return getattr(real_os, name)
+
+        def fsync(self, fd):
+            info = real_os.fstat(fd)
+            synced.append("directory" if stat.S_ISDIR(info.st_mode) else "file")
+            if stat.S_ISDIR(info.st_mode):
+                assert real_os.path.samestat(info, real_os.stat(tmp_path / "new"))
+            real_os.fsync(fd)
+
+    monkeypatch.setattr(tweetpipe.ledger, "os", FsyncSpy())
+
+    def ledger_commit(path, key):  # one fsynced entry
+        with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+            led.sync()  # nothing written yet: nothing to sync
+            led.record_breach([key])
+            led.record_breach([key])
+
+    def vault_commit(path, key):  # two bindings, each synced
+        with Vault(path, clock=VirtualClock(T0)) as vault:
+            vault.sync()
+            vault.register(f"{key}:1")
+            vault.sync()
+            vault.register(f"{key}:2")
+            vault.sync()
+
+    for commit in (ledger_commit, vault_commit):
+        path = tmp_path / "new" / "log.jsonl"
+        commit(path, CODE)
+        assert synced == ["file", "directory", "file"]
+        commit(path, OTHER)  # reopened: its directory entry is already durable
+        assert synced == ["file", "directory", "file", "file", "file"]
+        synced.clear()
+        os.remove(path)
+
+
 # ----------------------------------------------------------------- report
 
 
@@ -375,6 +455,22 @@ def test_report_mentions_every_event(ledger):
     assert "breach notification" in report
     assert "binding erased" in report
     assert "(none)" not in report
+
+
+def test_report_lists_failed_deliveries_after_disclosures(ledger):
+    disclose(ledger, CODE)
+    disclose(ledger, OTHER)
+    ledger.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=1)
+    report = ledger.transparency_report(CODE)
+    assert report.split("\n")[1:6] == [
+        "Disclosures:",
+        "  - 2019-09-07T20:26:40Z: shared with svc-food for recommendation, "
+        "retention 30 days (entry 1)",
+        "Failed deliveries:",
+        "  - 2019-09-07T20:26:40Z: delivery of entry 1 failed (entry 3)",
+        "Erasures:",
+    ]
+    assert "Failed deliveries:" not in ledger.transparency_report(OTHER)
 
 
 def test_report_matches_raw_file_contents(tmp_path):
