@@ -20,6 +20,7 @@ from functools import partial
 from itertools import chain
 
 from .ledger import replaced_text
+from .pruner import by_count
 
 HASHTAG_RE = re.compile(r"#\w+")
 MENTION_RE = re.compile(r"@\w+")
@@ -87,11 +88,6 @@ class AnalysisSpec:
 class AnalysisRow:
     key: str
     count: int
-
-
-def by_count(row: AnalysisRow) -> tuple[int, str]:
-    """Sort key: descending count, ties broken by ascending key."""
-    return (-row.count, row.key)
 
 
 # The builtin tables' key functions: each record's language, its country

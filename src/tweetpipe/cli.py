@@ -10,6 +10,7 @@ diagnostic and exit 1.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import random
@@ -17,38 +18,38 @@ import re
 import sys
 import time
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analyzer import (
-    BUILTIN_SPECS,
-    analyze,
-    load_regex_specs,
-    read_rows_csv,
-    sort_rows,
-    write_csv,
-    write_rows,
-)
 from .clock import SystemClock, VirtualClock
-from .crawler import CrawlConfig, run_crawl
-from .firehose import (
-    DEFAULT_APP_KEY,
-    DEFAULT_APP_SECRET,
-    Credentials,
-    FirehoseEngine,
-)
-from .gateway import CategoryRules, PrivacyGateway, ServiceRegistry, Vault
 from .ledger import ComplianceLedger
-from .processor import (
-    Gazetteer,
-    default_gazetteer,
-    find_crawl_files,
-    load_gazetteer,
-    process_file,
-    read_processed_file,
-)
 from .pruner import DEFAULT_LIMIT, ORDER_COUNT_DESC, ORDERS, check_limit, prune
 
+if TYPE_CHECKING:
+    from .processor import Gazetteer
+
 log = logging.getLogger(__name__)
+
+# Each command imports the stage modules it runs, so that a `ledger`
+# process loads none of them. These stage functions are also attributes of
+# this module, imported on first access by __getattr__ (PEP 562) and then
+# kept as globals, so a wrapper set on the name from outside (as
+# bench/tracer.py sets one) replaces the function for every later call.
+_STAGE_MODULES = {"run_crawl": "crawler", "process_file": "processor",
+                  "analyze": "analyzer", "write_csv": "analyzer"}
+
+
+def __getattr__(name: str):
+    if name not in _STAGE_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_STAGE_MODULES[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _stage(name: str):
+    """The stage function bound to name on this module now, wrapped or not."""
+    return globals().get(name) or __getattr__(name)
 
 _DURATION_RE = re.compile(r"(\d+)\s*(ms|s|m|h|d)?")
 _DURATION_UNITS = {"ms": 1, "s": 1000, "m": 60_000, "h": 3_600_000, "d": 86_400_000}
@@ -82,6 +83,7 @@ def _seed(args) -> int:
 
 
 def cmd_mock_serve(args) -> int:
+    from .firehose import FirehoseEngine
     from .mockserver import MockFirehoseServer
 
     engine = FirehoseEngine(seed=_seed(args), duplicate_mode=args.duplicate_mode)
@@ -99,15 +101,20 @@ def cmd_mock_serve(args) -> int:
 
 
 def cmd_crawl(args) -> int:
+    from .crawler import CrawlConfig
+    from .firehose import DEFAULT_APP_KEY, DEFAULT_APP_SECRET, Credentials
+
     cfg = CrawlConfig(
         endpoint=args.endpoint,
-        creds=Credentials(app_key=args.key, app_secret=args.secret),
+        creds=Credentials(app_key=DEFAULT_APP_KEY if args.key is None else args.key,
+                          app_secret=DEFAULT_APP_SECRET if args.secret is None else args.secret),
         interval_ms=args.interval_ms,
         use_next=args.use_next,
         duration_ms=parse_duration_ms(args.duration) if args.duration else None,
         max_requests=args.max_requests,
         out_dir=args.out or args.data_dir,
     )
+    run_crawl = _stage("run_crawl")
     stats = run_crawl(cfg, _make_clock(args))
     for key, value in vars(stats).items():
         print(f"{key}={value}")
@@ -115,6 +122,8 @@ def cmd_crawl(args) -> int:
 
 
 def _load_gazetteer_arg(args) -> Gazetteer:
+    from .processor import Gazetteer, default_gazetteer, load_gazetteer
+
     if args.gazetteer:
         return Gazetteer(load_gazetteer(args.gazetteer))
     return default_gazetteer()
@@ -122,11 +131,13 @@ def _load_gazetteer_arg(args) -> Gazetteer:
 
 def _load_specs_arg(args) -> list:
     """The builtin analyses, then those of the -regex file if one is given."""
+    from .analyzer import BUILTIN_SPECS, load_regex_specs
+
     return [*BUILTIN_SPECS, *(load_regex_specs(args.regex) if args.regex else ())]
 
 
-# Stage helpers shared by the stage subcommands and pipeline. They call the
-# stage functions through the names imported above, so a wrapper installed on
+# Stage helpers shared by the stage subcommands and pipeline. They look the
+# stage functions up on this module when they run, so a wrapper installed on
 # those names (as bench/tracer.py does) sees every stage call. Their inputs
 # are loaded by the caller, so pipeline can fail on a bad one before it crawls.
 
@@ -134,6 +145,9 @@ def _load_specs_arg(args) -> list:
 def _process_stage(gazetteer: Gazetteer, in_dir, out_dir, counts: Counter):
     """Lazily process each crawl file under in_dir, yielding its records;
     adds the files, records and skipped lines to counts as it goes."""
+    from .processor import find_crawl_files
+
+    process_file = _stage("process_file")
     for path in find_crawl_files(in_dir):
         records, skipped = process_file(path, gazetteer, out_root=out_dir)
         counts.update(files=1, records=len(records), skipped=skipped)
@@ -148,6 +162,9 @@ def _analyze_stage(specs: list, record_files, out_dir) -> list[tuple[str, list, 
     dropped before the next is read; the counts add up across files and
     every table is sorted once at the end.
     """
+    from .analyzer import sort_rows
+
+    analyze, write_csv = _stage("analyze"), _stage("write_csv")
     totals: dict[str, Counter] = {spec.name: Counter() for spec in specs}
     for records in record_files:
         for name, counts in analyze(records, specs).items():
@@ -162,6 +179,8 @@ def _analyze_stage(specs: list, record_files, out_dir) -> list[tuple[str, list, 
 
 def _prune_stage(rows, limit: int, order: str, out_path) -> list:
     """Prune one analysis table and write the kept rows to out_path."""
+    from .analyzer import write_rows
+
     pruned = prune(rows, limit, order)
     write_rows(out_path, pruned)
     return pruned
@@ -179,6 +198,8 @@ def cmd_process(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .processor import read_processed_file
+
     record_files = (read_processed_file(path) for path in args.in_files)
     out_dir = args.out or os.path.join(args.data_dir, "analysis")
     for name, rows, path in _analyze_stage(_load_specs_arg(args), record_files, out_dir):
@@ -187,6 +208,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    from .analyzer import read_rows_csv
+
     rows = read_rows_csv(args.in_file)
     pruned = _prune_stage(rows, args.limit, args.order, args.out_file)
     print(f"{len(rows)} -> {len(pruned)} rows -> {args.out_file}")
@@ -194,6 +217,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gateway(args) -> int:
+    from .gateway import CategoryRules, PrivacyGateway, ServiceRegistry, Vault
+    from .processor import read_processed_file
+
     records = read_processed_file(args.in_file)
     rules = CategoryRules.load(args.rules) if args.rules else CategoryRules.default()
     out_dir = args.out or args.data_dir
@@ -220,6 +246,8 @@ def cmd_ledger(args) -> int:
     with ComplianceLedger(path, clock=_make_clock(args)) as ledger:
         if args.ledger_cmd == "report":
             print(ledger.transparency_report(args.code), end="")
+        elif args.ledger_cmd == "verify":
+            print(f"entries={ledger.verify()}")
         else:
             codes = [c.strip() for c in args.codes.split(",") if c.strip()]
             seqs = ledger.record_breach(codes)
@@ -229,11 +257,14 @@ def cmd_ledger(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .crawler import CrawlConfig
+    from .firehose import FirehoseEngine
     from .mockserver import MockFirehoseServer
 
     specs = _load_specs_arg(args)
     gazetteer = _load_gazetteer_arg(args)
     check_limit(args.limit)
+    run_crawl = _stage("run_crawl")
     seed = _seed(args)
     start_ms = args.virtual_clock if args.virtual_clock is not None else 0
     clock = VirtualClock(start_ms=start_ms)
@@ -287,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crawl", help="run the rate-limited crawl loop")
     p.add_argument("--endpoint", required=True, help="base URL of the search API")
-    p.add_argument("--key", default=DEFAULT_APP_KEY)
-    p.add_argument("--secret", default=DEFAULT_APP_SECRET)
+    p.add_argument("--key", default=None, help="app key (default: the mock's demo key)")
+    p.add_argument("--secret", default=None, help="app secret (default: the mock's demo secret)")
     p.add_argument("--interval-ms", type=int, default=2000)
     p.add_argument("--use-next", type=parse_bool, default=True, metavar="BOOL",
                    help="follow pagination tokens (default true)")
@@ -331,11 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "at the cost of durability on power loss)")
     p.set_defaults(func=cmd_gateway)
 
-    p = sub.add_parser("ledger", help="query or append to the compliance ledger")
+    p = sub.add_parser("ledger", help="query, check or append to the compliance ledger")
     p.add_argument("--ledger", default=None, help="ledger file (default: <data-dir>/ledger.jsonl)")
     ledger_sub = p.add_subparsers(dest="ledger_cmd", required=True)
     lp = ledger_sub.add_parser("report", help="print a transparency report for one code")
     lp.add_argument("--code", required=True)
+    lp.set_defaults(func=cmd_ledger)
+    lp = ledger_sub.add_parser("verify", help="check every entry and the gapless sequence")
     lp.set_defaults(func=cmd_ledger)
     lp = ledger_sub.add_parser("breach", help="record breach notices for affected codes")
     lp.add_argument("--codes", required=True, help="comma-separated pseudonym codes")

@@ -53,7 +53,8 @@ CATEGORY_TRAVEL = "travel"
 CATEGORIES = (CATEGORY_ECOMMERCE, CATEGORY_DEMOGRAPHIC, CATEGORY_FOOD, CATEGORY_TRAVEL)
 DEFAULT_CATEGORY = CATEGORY_DEMOGRAPHIC
 
-CODE_HEX_LENGTH = 32  # 128 bits
+CODE_BITS = 128
+CODE_HEX_LENGTH = CODE_BITS // 4
 SCRUB_MIN_LENGTH = 4
 SCRUB_REPLACEMENT = "***"
 
@@ -178,7 +179,10 @@ class Vault(LineLog):
     flushes and fsyncs them, and which the gateway calls before the first
     disclosure cites them. Codes come from a
     cryptographically strong source unless a seeded generator is injected
-    for reproducible runs. One thread owns a vault; it takes no lock.
+    for reproducible runs; an injected generator first skips one draw per
+    bind in the file, so a run over a vault that a run with the same seed
+    filled goes on with the stream rather than restart it on codes the
+    vault holds. One thread owns a vault; it takes no lock.
     """
 
     error = VaultError
@@ -189,23 +193,28 @@ class Vault(LineLog):
         self._clock = clock or SystemClock()
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
+        binds = 0
         for line_num, op in self._replay():
             kind, code, user_key = op.get("op"), op.get("code"), op.get("user_key")
             if kind == "bind" and isinstance(code, str) and isinstance(user_key, str):
                 self._by_key[user_key] = code
                 self._by_code[code] = user_key
+                binds += 1
             elif kind == "erase" and isinstance(code, str) and code in self._by_code:
                 del self._by_key[self._by_code.pop(code)]
             else:
                 raise self._error_at(line_num, f"vault op {kind!r} is neither a bind of a code "
                                      "to a user_key nor the erase of a bound code")
+        if rng is not None:
+            for _ in range(binds):  # one draw each, as _mint_code draws
+                rng.getrandbits(CODE_BITS)
 
     def __len__(self) -> int:
         return len(self._by_key)
 
     def _mint_code(self, avoid: tuple[str, ...]) -> str:
         for _ in range(256):
-            code = f"{self._rng.getrandbits(128):0{CODE_HEX_LENGTH}x}"
+            code = f"{self._rng.getrandbits(CODE_BITS):0{CODE_HEX_LENGTH}x}"
             if code in self._by_code:
                 continue
             if any(ident in code for ident in avoid):

@@ -2,8 +2,8 @@
 the directory sinks and the crawl files; and the one writer of whole
 files, which replaces them.
 
-Every data handover, erasure, consent and breach notification is one
-JSON object on its own line, numbered by a gapless sequence that
+Every data handover, erasure, failed delivery and breach notification
+is one JSON object on its own line, numbered by a gapless sequence that
 survives restarts. Entries reference users only by pseudonym code; raw
 identifiers must never reach this file, because the ledger is meant to
 be shown around (regulators, transparency requests, post-incident
@@ -25,11 +25,10 @@ log = logging.getLogger(__name__)
 
 EVENT_DISCLOSURE = "disclosure"
 EVENT_ERASURE = "erasure"
-EVENT_CONSENT = "consent"
 EVENT_BREACH = "breach_notice"
 # A disclosure whose bundle the sink did not confirm; cites the disclosure.
 EVENT_DELIVERY_FAILED = "delivery_failed"
-EVENTS = (EVENT_DISCLOSURE, EVENT_ERASURE, EVENT_CONSENT, EVENT_BREACH, EVENT_DELIVERY_FAILED)
+EVENTS = (EVENT_DISCLOSURE, EVENT_ERASURE, EVENT_BREACH, EVENT_DELIVERY_FAILED)
 
 # One call of the C JSON scanner: (value, end) of the value at the start
 # of a str.
@@ -42,6 +41,32 @@ encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 class ValidationError(ValueError):
     """Entry fields do not satisfy the per-event requirements."""
+
+
+def _decode(line: bytes) -> dict | None:
+    """The JSON object on one committed line, None for a blank line; any
+    other line raises ValueError, whose message follows path:line.
+
+    One scanner call decodes a line that is exactly one JSON value. Any
+    other line (blank, padded, corrupt, not UTF-8, or with more after the
+    value) goes through json.loads, whose verdict and message stand.
+    """
+    try:
+        text = line.decode()
+        obj, end = _scan(text)
+        exact = end == len(text)
+    except ValueError:
+        exact = False
+    if not exact:
+        if not line.strip():
+            return None
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"corrupt line: {exc}")
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    return obj
 
 
 def iso_utc(ts_ms: int) -> str:
@@ -100,36 +125,29 @@ class LineLog:
 
     def _replay(self, needle: bytes = b""):
         """Yield (line_num, obj) for each committed non-blank line containing
-        needle, parsed as a JSON object; nothing if the file does not exist.
-
-        One scanner call decodes a line that is exactly one JSON value. Any
-        other line (blank, padded, corrupt, not UTF-8, or with more after
-        the value) goes through json.loads, whose verdict and message stand.
-        """
+        needle, decoded by _decode; nothing if the file does not exist."""
         if not os.path.exists(self.path):
             return
         for line_num, line in self.lines(needle):
             try:
-                text = line.decode()
-                obj, end = _scan(text)
-                exact = end == len(text)
-            except ValueError:
-                exact = False
-            if not exact:
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                except ValueError as exc:
-                    raise self._error_at(line_num, f"corrupt line: {exc}")
-            if not isinstance(obj, dict):
-                raise self._error_at(line_num, "line is not a JSON object")
-            yield line_num, obj
+                obj = _decode(line)
+            except ValueError as exc:
+                raise self._error_at(line_num, str(exc))
+            if obj is not None:
+                yield line_num, obj
 
     def _warn_torn(self, committed: int) -> None:
         if self.torn_at != committed:
             log.warning("%s: skipping a torn final line at byte %d", self.path, committed)
             self.torn_at = committed
+
+    def _committed_end(self, m: mmap.mmap) -> int:
+        """The end of the last committed line of the mapped file m, searched
+        from its tail; warns about a torn line after it."""
+        committed = m.rfind(b"\n") + 1  # rfind reads from the end back
+        if committed < len(m):
+            self._warn_torn(committed)
+        return committed
 
     def _cut_torn_tail(self) -> None:
         """Truncate the file to just past its last newline (to 0 if none)."""
@@ -137,10 +155,34 @@ class LineLog:
         if size == 0:
             return
         with open(self.path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
-            committed = m.rfind(b"\n") + 1  # rfind reads from the end back
+            committed = self._committed_end(m)
         if committed < size:
-            self._warn_torn(committed)
             self._fh.truncate(committed)
+
+    def _last_line(self) -> tuple[int, bytes] | None:
+        """(byte offset, line) of the last committed line that is not blank,
+        found from the file's tail; None if there is none."""
+        if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
+            return None
+        with open(self.path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            end = self._committed_end(m) - 1
+            while end >= 0:
+                start = m.rfind(b"\n", 0, end) + 1
+                line = m[start:end]
+                if line.strip():
+                    return start, line
+                end = start - 1
+        return None
+
+    def _line_number(self, offset: int) -> int:
+        """The number of the line that starts at byte offset, counted in
+        blocks up to it."""
+        line_num = 1
+        with open(self.path, "rb") as fh:
+            while offset > 0 and (block := fh.read(min(offset, 1 << 16))):
+                line_num += block.count(b"\n")
+                offset -= len(block)
+        return line_num
 
     def _write(self, lines: bytes) -> None:
         """Write whole lines, each ending in a newline, to the file's buffer;
@@ -211,9 +253,10 @@ class ComplianceLedger(LineLog):
     `record_breach` returns (set fsync=False to trade durability for bulk
     speed); a batch, such as the disclosures of one dispatch group or a
     breach notice, is one append and one fsync. A torn final entry is
-    cut as LineLog describes. On open, an existing file is replayed once
-    to resume the sequence gaplessly. No entry stays in memory: reports
-    stream the file again.
+    cut as LineLog describes. Opening reads only the last committed entry,
+    found from the file's tail, and resumes the sequence after its seq;
+    verify() checks the whole file. No entry stays in memory: reports
+    stream the file.
     """
 
     error = ValidationError
@@ -226,12 +269,35 @@ class ComplianceLedger(LineLog):
         # same second share one rendering.
         self._at_second: int | None = None
         self._at = ""
-        self._seq = 0  # of the last entry
+        self._seq = self._last_seq()  # of the last entry
+
+    def _last_seq(self) -> int:
+        """The seq of the last committed entry, 0 if there is none; a last
+        line that is not an entry with a positive seq raises with path:line."""
+        found = self._last_line()
+        if found is None:
+            return 0
+        start, line = found
+        try:
+            seq = _decode(line).get("seq")
+        except ValueError as exc:
+            raise self._error_at(self._line_number(start), str(exc))
+        if type(seq) is not int or seq < 1:
+            raise self._error_at(self._line_number(start),
+                                 f"last entry has no positive seq (found {seq!r})")
+        return seq
+
+    def verify(self) -> int:
+        """Check the whole file: every committed line is a JSON object and
+        the seqs run gaplessly from 1. Returns the number of entries; the
+        first fault raises ValidationError with path:line."""
+        count = 0
         for line_num, entry in self._replay():
-            if entry.get("seq") != self._seq + 1:
+            if entry.get("seq") != count + 1:
                 raise self._error_at(
-                    line_num, f"sequence gap (expected {self._seq + 1}, found {entry.get('seq')})")
-            self._seq += 1
+                    line_num, f"sequence gap (expected {count + 1}, found {entry.get('seq')})")
+            count += 1
+        return count
 
     def __len__(self) -> int:
         return self._seq
@@ -243,19 +309,18 @@ class ComplianceLedger(LineLog):
         beneficiary: str | None = None,
         purpose: str | None = None,
         retention_days: int | None = None,
-        minor: bool | None = None,
         disclosure_seq: int | None = None,
     ) -> int:
         """Append one entry; returns its sequence number.
 
         Disclosures must name beneficiary, purpose and a positive
-        retention_days. The minor flag exists only for consent entries,
-        and disclosure_seq, the earlier entry it cites, only for
-        delivery_failed entries, which must have one. Fields that make no
-        sense for an event are rejected rather than silently dropped.
+        retention_days, and only they may. disclosure_seq, the earlier
+        entry it cites, exists only for delivery_failed entries, which
+        must have one. Fields that make no sense for an event are
+        rejected rather than silently dropped.
         """
         entry = self._entry(self._seq + 1, self._iso_now(), event, subject_code, beneficiary,
-                            purpose, retention_days, minor, disclosure_seq)
+                            purpose, retention_days, disclosure_seq)
         self._commit([encode_json(entry)])
         return self._seq
 
@@ -278,7 +343,7 @@ class ComplianceLedger(LineLog):
         return self.record_all({"event": EVENT_BREACH, "subject_code": code} for code in codes)
 
     def _entry(self, seq: int, at: str, event: str, subject_code: str, beneficiary=None,
-               purpose=None, retention_days=None, minor=None, disclosure_seq=None) -> dict:
+               purpose=None, retention_days=None, disclosure_seq=None) -> dict:
         """The entry numbered seq and stamped at, after the checks record
         describes."""
         if event not in EVENTS:
@@ -292,13 +357,8 @@ class ComplianceLedger(LineLog):
                 raise ValidationError("disclosure requires a purpose")
             if not isinstance(retention_days, int) or retention_days < 1:
                 raise ValidationError("disclosure requires positive retention_days")
-        else:
-            if beneficiary is not None or retention_days is not None:
-                raise ValidationError(f"{event} entries cannot carry disclosure fields")
-            if purpose is not None and event != EVENT_CONSENT:
-                raise ValidationError(f"{event} entries cannot carry a purpose")
-        if minor is not None and event != EVENT_CONSENT:
-            raise ValidationError("minor flag is only valid on consent entries")
+        elif beneficiary is not None or purpose is not None or retention_days is not None:
+            raise ValidationError(f"{event} entries cannot carry disclosure fields")
         if event == EVENT_DELIVERY_FAILED:
             if not isinstance(disclosure_seq, int) or not 1 <= disclosure_seq < seq:
                 raise ValidationError("delivery_failed must cite an earlier entry's seq")
@@ -314,8 +374,6 @@ class ComplianceLedger(LineLog):
             "retention_days": retention_days,
             "at": at,
         }
-        if minor is not None:
-            entry["minor"] = bool(minor)
         if disclosure_seq is not None:
             entry["disclosure_seq"] = disclosure_seq
         return entry
@@ -350,10 +408,6 @@ class ComplianceLedger(LineLog):
             if e["event"] == EVENT_DISCLOSURE:
                 what = (f"shared with {e['beneficiary']} for {e['purpose']}, "
                         f"retention {e['retention_days']} days")
-            elif e["event"] == EVENT_CONSENT:
-                what = "consent recorded" + (f" for {e['purpose']}" if e.get("purpose") else "")
-                if e.get("minor"):
-                    what += " (minor account)"
             elif e["event"] == EVENT_DELIVERY_FAILED:
                 what = f"delivery of entry {e['disclosure_seq']} failed"
             else:
@@ -362,8 +416,7 @@ class ComplianceLedger(LineLog):
         lines = [f"Transparency report for {code}"]
         for title, event in (("Disclosures", EVENT_DISCLOSURE),
                              ("Failed deliveries", EVENT_DELIVERY_FAILED),
-                             ("Erasures", EVENT_ERASURE), ("Consents", EVENT_CONSENT),
-                             ("Breach notices", EVENT_BREACH)):
+                             ("Erasures", EVENT_ERASURE), ("Breach notices", EVENT_BREACH)):
             if found[event] or event != EVENT_DELIVERY_FAILED:
                 lines += [f"{title}:", *(found[event] or ["  (none)"])]
         return "\n".join(lines) + "\n"

@@ -6,10 +6,20 @@ plus truncation, and is idempotent.
 
 from __future__ import annotations
 
-from .analyzer import AnalysisRow, by_count
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .analyzer import AnalysisRow
 
 ORDER_COUNT_DESC = "count_desc"
 ORDER_KEY_ASC = "key_asc"
+
+
+def by_count(row: AnalysisRow) -> tuple[int, str]:
+    """Sort key: descending count, ties broken by ascending key."""
+    return (-row.count, row.key)
+
+
 # Each order's name and its sort key.
 ORDERS = {
     ORDER_COUNT_DESC: by_count,

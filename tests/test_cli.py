@@ -452,6 +452,56 @@ def test_gateway_cli_scrubs_authors_who_tweet_later(tmp_path, capsys):
     assert leaks == []
 
 
+def write_feed(path, first_id: int, count: int):
+    """count records of distinct authors, ids from first_id on."""
+    feed = [
+        ProcessedTweet(
+            creation_date="Sat Sep 07 20:14:03 +0000 2019", id=str(n), lang="en",
+            location="Delhi, India", name=f"Person {n}", username=f"user{n}",
+            text="OT sushi tonight", country="India", city="Delhi",
+        )
+        for n in range(first_id, first_id + count)
+    ]
+    path.write_text(json.dumps([vars(r) for r in feed]), encoding="utf-8")
+    return path
+
+
+def test_seeded_gateway_runs_continue_one_vault(tmp_path, capsys):
+    # More binds per run than the vault's 256 tries to mint a fresh code: a
+    # second run that restarted the seeded stream could not mint one.
+    feeds = [write_feed(tmp_path / f"feed{n}.json", 10_000 * (n + 1), 300) for n in range(2)]
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+
+    def gateway(data, in_file):
+        assert main(["--data-dir", str(data), "--seed", "7", "--virtual-clock", "0",
+                     "gateway", "--no-fsync", "--in", str(in_file),
+                     "--registry", str(registry)]) == 0, capsys.readouterr().err
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    for data in (tmp_path / "a", tmp_path / "b"):
+        for in_file in feeds:
+            gateway(data, in_file)
+    assert files(tmp_path / "a") == files(tmp_path / "b")
+
+    # The second run goes on with the stream: the codes of one run over
+    # both feeds.
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps([*json.loads(feeds[0].read_text(encoding="utf-8")),
+                                *json.loads(feeds[1].read_text(encoding="utf-8"))]),
+                    encoding="utf-8")
+    gateway(tmp_path / "one", both)
+
+    def codes(data):
+        return [json.loads(line)["code"]
+                for line in (data / "vault.jsonl").read_text(encoding="utf-8").splitlines()]
+
+    assert len(set(codes(tmp_path / "a"))) == 600
+    assert codes(tmp_path / "a") == codes(tmp_path / "one")
+
+
 # tree_digest of a seeded gateway run over a seed-7 one-minute pipeline
 # feed: the vault, the ledger and the four sink files. A change that
 # alters any of their bytes, or the counts gateway prints, fails here.
@@ -496,6 +546,30 @@ def test_ledger_cli_breach_then_report(tmp_path, capsys):
     assert "breach notification" in out
 
 
+def imported_modules(*args) -> tuple[set[str], str]:
+    """The modules a `tweetpipe` process with args imports, and its stdout."""
+    probe = subprocess.run([sys.executable, "-X", "importtime", "-m", "tweetpipe", *args],
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    modules = {line.rsplit("|", 1)[1].strip() for line in probe.stderr.splitlines()
+               if line.startswith("import time:")}
+    return modules, probe.stdout
+
+
+def test_ledger_commands_load_no_stage_module(tmp_path):
+    stages = {f"tweetpipe.{name}" for name in (
+        "crawler", "firehose", "codec", "processor", "analyzer", "gateway", "mockserver")}
+    code = "ab" * 16
+    common = ["--data-dir", str(tmp_path), "--virtual-clock", "0", "ledger"]
+    for command, shown in ((["breach", "--codes", code], "breach_notices=1\n"),
+                           (["report", "--code", code], "breach notification"),
+                           (["verify"], "entries=1\n")):
+        modules, out = imported_modules(*common, *command)
+        assert "tweetpipe.ledger" in modules  # the probe sees the package's imports
+        assert sorted(stages & modules) == [], command
+        assert shown in out
+
+
 def test_ledger_report_creates_nothing(tmp_path, capsys):
     data = tmp_path / "missing"
     code = "cd" * 16
@@ -503,6 +577,5 @@ def test_ledger_report_creates_nothing(tmp_path, capsys):
     assert not data.exists()
     assert capsys.readouterr().out == (
         f"Transparency report for {code}\n"
-        "Disclosures:\n  (none)\nErasures:\n  (none)\n"
-        "Consents:\n  (none)\nBreach notices:\n  (none)\n"
+        "Disclosures:\n  (none)\nErasures:\n  (none)\nBreach notices:\n  (none)\n"
     )

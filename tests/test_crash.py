@@ -78,7 +78,8 @@ def check_state(data: Path) -> None:
     ledger_path = data / "ledger.jsonl"
     disclosed: Counter = Counter()
     if ledger_path.exists():
-        with ComplianceLedger(ledger_path) as ledger:  # raises on a sequence gap
+        with ComplianceLedger(ledger_path) as ledger:
+            assert ledger.verify() == len(ledger)  # raises on a sequence gap
             entries = [json.loads(line) for _n, line in LineLog(ledger_path).lines()]
             assert [e["seq"] for e in entries] == list(range(1, len(ledger) + 1))
         disclosed.update((e["subject_code"], e["beneficiary"])

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tweetpipe.ledger
+from tweetpipe.cli import main
 from tweetpipe.clock import VirtualClock
 from tweetpipe.gateway import DirectorySink, Vault
 from tweetpipe.ledger import (
     ComplianceLedger,
     EVENT_BREACH,
-    EVENT_CONSENT,
     EVENT_DELIVERY_FAILED,
     EVENT_DISCLOSURE,
     EVENT_ERASURE,
@@ -78,22 +78,6 @@ def test_non_disclosures_reject_disclosure_fields(ledger):
         ledger.record(EVENT_BREACH, CODE, retention_days=3)
     with pytest.raises(ValidationError):
         ledger.record(EVENT_ERASURE, CODE, purpose="p")
-
-
-def test_consent_may_carry_purpose_and_minor(ledger):
-    seq = ledger.record(EVENT_CONSENT, CODE, purpose="analytics", minor=True)
-    entry = read_entries(ledger.path)[-1]
-    assert (entry["seq"], entry["minor"], entry["purpose"]) == (seq, True, "analytics")
-
-
-def test_minor_flag_is_consent_only(ledger):
-    with pytest.raises(ValidationError):
-        ledger.record(EVENT_ERASURE, CODE, minor=False)
-    with pytest.raises(ValidationError):
-        disclose(ledger, CODE) and ledger.record(
-            EVENT_DISCLOSURE, CODE, beneficiary="b", purpose="p",
-            retention_days=1, minor=True,
-        )
 
 
 def test_unknown_event_and_empty_code(ledger):
@@ -180,19 +164,33 @@ def test_file_is_append_only(tmp_path):
     assert path.read_bytes().startswith(before)
 
 
-def test_load_rejects_sequence_gaps(tmp_path):
+def verify(path) -> int:
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        return led.verify()
+
+
+def assert_verify_fails(path, capsys, message: str) -> None:
+    """verify() and `ledger verify` both reject the file with path:line message."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:{message}')}"):
+        verify(path)
+    capsys.readouterr()
+    assert main(["ledger", "--ledger", str(path), "verify"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{message}")
+
+
+def test_verify_rejects_sequence_gaps(tmp_path, capsys):
     path = tmp_path / "l.jsonl"
     with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
         disclose(led)
         disclose(led)
+        assert led.verify() == 2
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text(lines[0] + "\n" + lines[1].replace('"seq": 2', '"seq": 5') + "\n",
                     encoding="utf-8")
-    with pytest.raises(ValidationError):
-        ComplianceLedger(path, clock=VirtualClock(T0))
+    assert_verify_fails(path, capsys, "2: sequence gap (expected 2, found 5)")
 
 
-def test_load_rejects_corrupt_lines(tmp_path):
+def test_verify_rejects_corrupt_lines(tmp_path, capsys):
     path = tmp_path / "l.jsonl"
 
     def line(seq):
@@ -201,18 +199,91 @@ def test_load_rejects_corrupt_lines(tmp_path):
     # enough entries to fill several read blocks before the bad line
     head = "".join(line(seq) for seq in range(1, 1000))
     for bad in ("not json", "[1]", '"entry"', "null", '{"seq": 1000', "\udc80"):
-        for tail in (line(1000), line(1000)[:9]):  # whole, or torn: the bad line still raises
+        # whole, or torn: the bad line still raises, from the open once it is
+        # the last committed line
+        for tail in (line(1000), line(1000)[:9]):
             path.write_text(head + bad + "\n" + tail, encoding="utf-8",
                             errors="surrogateescape")
-            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1000: "):
-                ComplianceLedger(path, clock=VirtualClock(T0))
+            assert_verify_fails(path, capsys, "1000: ")
+
+
+@pytest.mark.parametrize("middle,message", [
+    ("not json", "2: corrupt line: "),
+    ('{"seq": 7, "event": "erasure", "subject_code": "ab"}',
+     "2: sequence gap (expected 2, found 7)"),
+])
+def test_open_reads_past_a_bad_middle_line(tmp_path, capsys, middle, message):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        for _ in range(3):
+            disclose(led)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], middle, lines[2]]) + "\n", encoding="utf-8")
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        assert len(led) == 3
+        assert disclose(led) == 4
+    assert_verify_fails(path, capsys, message)
+
+
+@pytest.mark.parametrize("last,message", [
+    ("not json", "corrupt line: "),
+    ("[1]", "line is not a JSON object"),
+    ("\udc80", "corrupt line: "),
+    ('{"event": "erasure", "subject_code": "ab"}', "last entry has no positive seq (found None)"),
+    ('{"seq": "2"}', "last entry has no positive seq (found '2')"),
+    ('{"seq": true}', "last entry has no positive seq (found True)"),
+    ('{"seq": 0}', "last entry has no positive seq (found 0)"),
+])
+@pytest.mark.parametrize("after", ["", "\n \t\n", '{"seq": 3'])
+def test_open_rejects_a_bad_last_entry(tmp_path, last, message, after):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+    # blank lines and a torn line after the bad one do not hide it
+    with open(path, "a", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write(last + "\n" + after)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {message}')}"):
+        ComplianceLedger(path, clock=VirtualClock(T0))
+
+
+@pytest.mark.parametrize("blank", ["\n", "\n\n\n", " \n\t\r\n", "\x0b\x0c\n", "\n{\"seq\": 9"])
+def test_trailing_blank_lines_resolve_to_the_last_seq(tmp_path, blank):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+        disclose(led)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(blank)
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        assert len(led) == 2
+        assert disclose(led) == 3
+        assert led.verify() == 3
+
+
+def test_a_file_of_blank_lines_opens_empty(tmp_path):
+    path = tmp_path / "l.jsonl"
+    path.write_text("\n \n\n", encoding="utf-8")
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        assert len(led) == 0
+        assert disclose(led) == 1
+        assert led.verify() == 1
+
+
+def test_open_reads_only_the_tail(tmp_path, monkeypatch):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0), fsync=False) as led:
+        for _ in range(3000):  # several read blocks
+            disclose(led)
+    monkeypatch.setattr(ComplianceLedger, "lines", lambda *a: pytest.fail("whole file read"))
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        assert len(led) == 3000
 
 
 def test_torn_final_entry_is_cut_at_every_byte(tmp_path, caplog):
     path = tmp_path / "l.jsonl"
     with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
         disclose(led)
-        led.record(EVENT_CONSENT, OTHER, purpose="análisis ☃ 😀")
+        disclose(led, OTHER, purpose="análisis ☃ 😀")
     data = path.read_bytes()
     head = data[:data.index(b"\n") + 1]
     last = data[len(head):]
@@ -224,7 +295,7 @@ def test_torn_final_entry_is_cut_at_every_byte(tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="tweetpipe.ledger"):
             with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
                 assert len(led) == 1
-                assert "consent recorded" not in led.transparency_report(OTHER)
+                assert "shared with" not in led.transparency_report(OTHER)
                 assert path.read_bytes() == torn  # reading leaves the file alone
                 assert disclose(led, OTHER) == 2
         expected = f"{path}: skipping a torn final line at byte {len(head)}"
@@ -440,18 +511,16 @@ def test_a_new_file_gets_one_directory_fsync(tmp_path, monkeypatch):
 def test_report_for_unknown_code_is_all_none(ledger):
     report = ledger.transparency_report("f" * 32)
     assert report.startswith(f"Transparency report for {'f' * 32}\n")
-    assert report.count("(none)") == 4
+    assert report.count("(none)") == 3
 
 
 def test_report_mentions_every_event(ledger):
     disclose(ledger, CODE, beneficiary="svc-food", purpose="recommendation",
              retention_days=30)
-    ledger.record(EVENT_CONSENT, CODE, minor=True)
     ledger.record_breach([CODE])
     ledger.record(EVENT_ERASURE, CODE)
     report = ledger.transparency_report(CODE)
     assert "shared with svc-food for recommendation, retention 30 days" in report
-    assert "(minor account)" in report
     assert "breach notification" in report
     assert "binding erased" in report
     assert "(none)" not in report

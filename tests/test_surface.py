@@ -15,6 +15,8 @@ import ast
 import importlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from tweetpipe.cli import build_parser
@@ -149,6 +151,43 @@ def test_every_traced_name_resolves_where_the_tracer_looks():
     assert importlib.import_module("tweetpipe.ledger").os is os
 
 
+# The tracer's order in a fresh process: import the CLI, wrap each stage
+# name found on it, then run. A stage whose helper kept its own reference
+# would skip the wrapper, and its span would go missing.
+WRAPPING_SCRIPT = """
+import sys
+import tweetpipe.cli as cli
+
+called = set()
+
+def wrapped(name, fn):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+names = sys.argv[1].split(",")
+for name in names:
+    setattr(cli, name, wrapped(name, getattr(cli, name)))
+status = cli.main(sys.argv[2:])
+print(",".join(sorted(called)))
+sys.exit(status)
+"""
+
+
+def test_a_wrapper_set_on_each_traced_cli_name_is_called(tmp_path):
+    names = sorted(attr for module_name, attr, _span in tracer_targets()
+                   if module_name == "tweetpipe.cli")
+    assert names
+    probe = subprocess.run(
+        [sys.executable, "-c", WRAPPING_SCRIPT, ",".join(names),
+         "--data-dir", str(tmp_path), "--seed", "7", "pipeline", "--duration", "1m"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == ",".join(names)
+
+
 # Each command's option strings, -h/--help aside. A new flag gets in only
 # by an edit here.
 CLI_OPTIONS = {
@@ -163,6 +202,7 @@ CLI_OPTIONS = {
                           "--retention-days", "--rules", "--vault"],
     "tweetpipe ledger": ["--ledger"],
     "tweetpipe ledger report": ["--code"],
+    "tweetpipe ledger verify": [],
     "tweetpipe ledger breach": ["--codes"],
     "tweetpipe pipeline": ["--duration", "--gazetteer", "--interval-ms", "--limit", "-regex"],
 }
