@@ -37,10 +37,44 @@ _scan = json.JSONDecoder().raw_decode
 # ensure_ascii=False) renders it; json.dumps builds a new encoder on each
 # call that passes an option, this one is built once.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# How encode_json renders a value of each exact type the fixed-key lines
+# hold; any other value goes through encode_json itself.
+_VALUE_JSON = {str: json.encoder.encode_basestring, int: int.__repr__,
+               type(None): lambda _value: "null"}
+
+
+def json_object(keys: tuple[str, ...]):
+    """A function of one value per key that returns encode_json of the dict
+    of those keys, in this order, and values.
+
+    The keys are rendered once, into a template; a call renders only the
+    values, each with what encode_json uses for its type, so the text is
+    the same for every value encode_json accepts.
+    """
+    template = ("{{" + ", ".join(
+        json.encoder.encode_basestring(key).replace("{", "{{").replace("}", "}}") + ": {}"
+        for key in keys) + "}}").format
+
+    def encode(*values) -> str:
+        return template(*[_VALUE_JSON.get(type(v), encode_json)(v) for v in values])
+
+    return encode
 
 
 class ValidationError(ValueError):
     """Entry fields do not satisfy the per-event requirements."""
+
+
+def _is_count(value) -> bool:
+    """An int that is not a bool, which JSON would write as true or false."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A ledger entry's keys in line order; a delivery_failed entry adds the
+# seq of the disclosure it cites.
+_ENTRY_KEYS = ("seq", "event", "subject_code", "beneficiary", "purpose", "retention_days", "at")
+_ENTRY_JSON = json_object(_ENTRY_KEYS)
+_CITING_ENTRY_JSON = json_object((*_ENTRY_KEYS, "disclosure_seq"))
 
 
 def _decode(line: bytes) -> dict | None:
@@ -319,10 +353,10 @@ class ComplianceLedger(LineLog):
         must have one. Fields that make no sense for an event are
         rejected rather than silently dropped.
         """
-        entry = self._entry(self._seq + 1, self._iso_now(), event, subject_code, beneficiary,
-                            purpose, retention_days, disclosure_seq)
-        self._commit([encode_json(entry)])
-        return self._seq
+        return self.record_all([{"event": event, "subject_code": subject_code,
+                                 "beneficiary": beneficiary, "purpose": purpose,
+                                 "retention_days": retention_days,
+                                 "disclosure_seq": disclosure_seq}])[0]
 
     def record_all(self, entries) -> list[int]:
         """Append one entry per dict of record's keyword arguments; returns
@@ -330,8 +364,7 @@ class ComplianceLedger(LineLog):
         batch goes out in one append and one fsync. The entries share one
         `at`, so a batch never reads as going back in time."""
         first, at = self._seq + 1, self._iso_now()
-        self._commit([encode_json(self._entry(seq, at, **fields))
-                      for seq, fields in enumerate(entries, first)])
+        self._commit([self._entry(seq, at, **fields) for seq, fields in enumerate(entries, first)])
         return list(range(first, self._seq + 1))
 
     def record_breach(self, affected_codes) -> list[int]:
@@ -343,9 +376,9 @@ class ComplianceLedger(LineLog):
         return self.record_all({"event": EVENT_BREACH, "subject_code": code} for code in codes)
 
     def _entry(self, seq: int, at: str, event: str, subject_code: str, beneficiary=None,
-               purpose=None, retention_days=None, disclosure_seq=None) -> dict:
-        """The entry numbered seq and stamped at, after the checks record
-        describes."""
+               purpose=None, retention_days=None, disclosure_seq=None) -> str:
+        """The JSON text of the entry numbered seq and stamped at, after the
+        checks record describes."""
         if event not in EVENTS:
             raise ValidationError(f"unknown event type: {event!r}")
         if not subject_code or not isinstance(subject_code, str):
@@ -355,28 +388,20 @@ class ComplianceLedger(LineLog):
                 raise ValidationError("disclosure requires a beneficiary")
             if not purpose:
                 raise ValidationError("disclosure requires a purpose")
-            if not isinstance(retention_days, int) or retention_days < 1:
+            if not _is_count(retention_days) or retention_days < 1:
                 raise ValidationError("disclosure requires positive retention_days")
         elif beneficiary is not None or purpose is not None or retention_days is not None:
             raise ValidationError(f"{event} entries cannot carry disclosure fields")
         if event == EVENT_DELIVERY_FAILED:
-            if not isinstance(disclosure_seq, int) or not 1 <= disclosure_seq < seq:
+            if not _is_count(disclosure_seq) or not 1 <= disclosure_seq < seq:
                 raise ValidationError("delivery_failed must cite an earlier entry's seq")
         elif disclosure_seq is not None:
             raise ValidationError("disclosure_seq is only valid on delivery_failed entries")
 
-        entry = {
-            "seq": seq,
-            "event": event,
-            "subject_code": subject_code,
-            "beneficiary": beneficiary,
-            "purpose": purpose,
-            "retention_days": retention_days,
-            "at": at,
-        }
-        if disclosure_seq is not None:
-            entry["disclosure_seq"] = disclosure_seq
-        return entry
+        if disclosure_seq is None:
+            return _ENTRY_JSON(seq, event, subject_code, beneficiary, purpose, retention_days, at)
+        return _CITING_ENTRY_JSON(seq, event, subject_code, beneficiary, purpose, retention_days,
+                                  at, disclosure_seq)
 
     def _commit(self, lines: list[str]) -> None:
         """Write the encoded entries in one append, fsync unless turned off,

@@ -528,6 +528,64 @@ def test_gateway_output_matches_its_golden_digest(tmp_path, capsys):
     assert tree_digest(data) == GOLDEN_GATEWAY_DIGEST
 
 
+# The mock's text is all ASCII and the bundled rules are all ASCII words,
+# so the digest above never leaves the gateway's fast paths. These records
+# and rules do: texts with 'İ' (which lower() expands), 'ſ' and the Kelvin
+# sign (which match 's' and 'k' case-insensitively), 'ß', an emoji, quotes,
+# a backslash and a tab; other authors' handles and display names in mixed
+# case; a record without a country; keywords with a space, a hyphen and a
+# non-ASCII letter.
+FALLBACK_RECORDS = [
+    ("anna_banana", "Anna Maria", "100001", "de", "DE",
+     'Lunch with @Bob_Builder at the "Pizza" place \\o/ \U0001f355 #foodie'),
+    ("bob_builder", "Bob Builder", "100002", "tr", "TR",
+     "\u017fhopping trip to \u0130stanbul with ANNA_BANANA\tand anna maria"),
+    ("kelvin_kat", "Kat Kelvin", "100003", "en", "GB",
+     "The \u212aelvin_\u212aAT sign says deals, 100% off \u2014 buy now, then take-out"),
+    ("grossfan", "Gro\u00df Stra\u00dfe", "100004", "de", None,
+     "Weekend in der Stra\u00dfe with gro\u00df stra\u00dfe: ice cream, Ice Cream and sushi-bar"),
+    ("ascii_only", "Plain Writer", "100005", "en", "US",
+     "ICE CREAM at the airport with BOB BUILDER and Kat kelvin; deal_of_the_day deals2 Checkout!"),
+    ("mixed_CASE", "Some One", "100006", "en", "US",
+     "\u0130\u0130\u0130 pi\u017f\u017fa 'quoted' \"double\" back\\slash tab\tend SOME ONE 100003"),
+]
+FALLBACK_RULES = (
+    "ecommerce: buy|shop|deal|take-out\n"
+    "food: lunch|ice cream|sushi|pizza\n"
+    "travel: trip|airport|stra\u00dfe|\u0130stanbul\n"
+    "demographic_social:\n"
+)
+# tree_digest of a seeded gateway run over FALLBACK_RECORDS, with the rules
+# above and with the bundled ones.
+GOLDEN_FALLBACK_DIGESTS = {
+    "default": "960f12f935cf3948e062340ab54bf908e04648855a35c926401ea7f2e9c0cfe7",
+    "rules": "066f7544f9a6cec4e72b0b83b7b29177959ee4459c6def32c17508468dc98fc9",
+}
+
+
+@pytest.mark.parametrize("rules", sorted(GOLDEN_FALLBACK_DIGESTS))
+def test_gateway_fallback_paths_match_their_golden_digest(tmp_path, capsys, rules):
+    in_file = tmp_path / "feed.json"
+    in_file.write_text(json.dumps([
+        {"creation_date": f"Thu Jan 01 00:00:0{i} +0000 1970", "id": tweet_id, "lang": lang,
+         "location": "somewhere", "name": name, "username": username, "text": text,
+         "country": country, "city": None}
+        for i, (username, name, tweet_id, lang, country, text) in enumerate(FALLBACK_RECORDS)
+    ], ensure_ascii=False), encoding="utf-8")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    args = ["--in", str(in_file), "--registry", str(registry)]
+    if rules == "rules":
+        rules_file = tmp_path / "rules.txt"
+        rules_file.write_text(FALLBACK_RULES, encoding="utf-8")
+        args += ["--rules", str(rules_file)]
+    data = tmp_path / "gw"
+    assert main(["--data-dir", str(data), "--seed", "11", "--virtual-clock", "0",
+                 "gateway", *args]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"records={len(FALLBACK_RECORDS)}"
+    assert tree_digest(data) == GOLDEN_FALLBACK_DIGESTS[rules]
+
+
 def test_ledger_cli_breach_then_report(tmp_path, capsys):
     code = "ab" * 16
     rc = main([

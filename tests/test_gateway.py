@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tweetpipe.gateway
 import tweetpipe.ledger
@@ -300,6 +300,65 @@ def test_keywords_match_whole_words_case_insensitively():
     assert rules.categories_for("OT pricey district") == [DEFAULT_CATEGORY]
 
 
+def reference_categories(rules, text):
+    """The categories' own patterns: any keyword, case-insensitively,
+    with no word character on either side."""
+    matched = [cat for cat in CATEGORIES if rules.get(cat) and re.search(
+        r"(?<!\w)(" + "|".join(re.escape(w) for w in rules[cat]) + r")(?!\w)", text, re.IGNORECASE)]
+    return matched or [DEFAULT_CATEGORY]
+
+
+# ASCII of both cases, digits, '_' and punctuation, plus 'ſ' and the Kelvin
+# sign (which match 's' and 'k' case-insensitively), 'İ' (which lower()
+# expands) and 'ß'.
+CATEGORY_ALPHABET = "abksABKS09_ .,-!\u017f\u212a\u0130\u00df"
+ASCII_KEYWORDS = st.text("abksABKS09_", min_size=1, max_size=4)
+OTHER_KEYWORDS = st.sampled_from(["ab ks", "k-s", "\u017fa", "\u212ab", "stra\u00dfe", "\u0130s"]) | st.text(
+    CATEGORY_ALPHABET, min_size=1, max_size=4)
+
+
+@st.composite
+def category_rules(draw):
+    """Rules of ASCII-word keywords, to which a two-word, hyphenated or
+    non-ASCII keyword may be added; a category's list may be empty."""
+    rules = {cat: draw(st.lists(ASCII_KEYWORDS, max_size=3))
+             for cat in draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, unique=True))}
+    if draw(st.booleans()):
+        rules[draw(st.sampled_from(sorted(rules)))].append(draw(OTHER_KEYWORDS))
+    return rules
+
+
+@st.composite
+def category_texts(draw, keywords):
+    """Text built from keywords (in any case) and filler, or all ASCII."""
+    pieces = draw(st.lists(st.one_of(
+        st.sampled_from(keywords).map(str.swapcase) if keywords else st.nothing(),
+        st.sampled_from(keywords).map(str.upper) if keywords else st.nothing(),
+        st.sampled_from(keywords) if keywords else st.nothing(),
+        st.text(CATEGORY_ALPHABET, max_size=4),
+    ), max_size=8))
+    text = "".join(pieces)
+    return draw(st.sampled_from([text, text.encode("ascii", "ignore").decode()]))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_categories_match_the_per_category_patterns(data):
+    rules = data.draw(category_rules())
+    classifier = CategoryRules(rules)
+    keywords = [w for words in rules.values() for w in words]
+    for _ in range(4):
+        text = data.draw(category_texts(keywords))
+        assert classifier.categories_for(text) == reference_categories(rules, text)
+
+
+def test_ascii_text_under_word_rules_is_classified_without_the_patterns():
+    rules = CategoryRules.default()
+    rules._patterns = None  # any use of the patterns would raise
+    assert rules.categories_for("OT flight booked, SUSHI at the airport") == ["food", "travel"]
+    assert rules.categories_for("OT deal_of_the_day, pricey") == [DEFAULT_CATEGORY]
+
+
 def test_rules_reject_unknown_categories():
     with pytest.raises(ValueError):
         CategoryRules({"catering": ("soup",)})
@@ -552,6 +611,13 @@ def test_dispatch_logs_exactly_one_disclosure(gateway):
     assert entry["beneficiary"] == "svc-demographic_social"
     assert entry["purpose"] == PURPOSE
     assert entry["retention_days"] == 30
+
+
+@pytest.mark.parametrize("days", [0, True])
+def test_gateway_refuses_a_retention_the_ledger_would_refuse(gateway, days):
+    # True equals 1 but is a bool, which the ledger refuses.
+    with pytest.raises(ValueError, match="retention_days must be at least 1"):
+        PrivacyGateway(gateway.vault, gateway.ledger, retention_days=days)
 
 
 def test_dispatch_without_service_fails_loudly(gateway):

@@ -5,6 +5,7 @@ import logging
 import os
 import re
 import stat
+import tempfile
 import tracemalloc
 
 import pytest
@@ -21,7 +22,9 @@ from tweetpipe.ledger import (
     EVENT_DISCLOSURE,
     EVENT_ERASURE,
     ValidationError,
+    encode_json,
     iso_utc,
+    json_object,
 )
 
 T0 = 1_567_888_000_000
@@ -96,6 +99,52 @@ def test_delivery_failed_must_cite_an_earlier_entry(ledger):
         ledger.record(EVENT_BREACH, CODE, disclosure_seq=1)
     assert ledger.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=1) == 2
     assert read_entries(ledger.path)[-1]["disclosure_seq"] == 1
+
+
+def test_a_bool_is_not_a_number_of_days_or_a_seq(ledger):
+    # bool is a subclass of int; JSON would write these as true.
+    with pytest.raises(ValidationError):
+        disclose(ledger, retention_days=True)
+    assert disclose(ledger) == 1
+    with pytest.raises(ValidationError):
+        ledger.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=True)
+    assert [e["seq"] for e in read_entries(ledger.path)] == [1]
+
+
+# Characters JSON escapes, ones outside ASCII, and the braces a format
+# template must not take for its own.
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\u2028", "é",
+                                     "ſ", "İ", "\U0001f600", "{", "}", "a", " "])
+                    | st.characters(blacklist_categories=("Cs",)))
+
+
+@given(st.lists(st.tuples(JSON_TEXT, st.none() | st.integers() | JSON_TEXT | st.booleans()
+                          | st.floats()), unique_by=lambda item: item[0]))
+def test_json_object_writes_what_encode_json_writes(items):
+    keys = tuple(key for key, _value in items)
+    assert json_object(keys)(*(value for _key, value in items)) == encode_json(dict(items))
+
+
+@given(code=JSON_TEXT.filter(bool), beneficiary=JSON_TEXT.filter(bool),
+       purpose=JSON_TEXT.filter(bool), days=st.integers(1, 2**70), user_key=JSON_TEXT.filter(bool))
+def test_every_ledger_and_vault_line_is_what_encode_json_writes(code, beneficiary, purpose, days,
+                                                                user_key):
+    with tempfile.TemporaryDirectory() as root:
+        with ComplianceLedger(os.path.join(root, "l.jsonl"), clock=VirtualClock(T0)) as led:
+            led.record(EVENT_DISCLOSURE, code, beneficiary=beneficiary, purpose=purpose,
+                       retention_days=days)
+            led.record(EVENT_DELIVERY_FAILED, code, disclosure_seq=1)
+            led.record(EVENT_ERASURE, code)
+            led.record_breach([code, code])
+        with Vault(os.path.join(root, "v.jsonl"), clock=VirtualClock(T0)) as vault:
+            vault.register(user_key)
+            vault.erase(user_key)
+        for name, count in (("l.jsonl", 5), ("v.jsonl", 2)):
+            with open(os.path.join(root, name), "rb") as fh:
+                lines = fh.read().decode().split("\n")[:-1]
+            assert len(lines) == count
+            for line in lines:
+                assert encode_json(json.loads(line)) == line
 
 
 def test_record_all_checks_every_entry_before_writing_any(ledger):

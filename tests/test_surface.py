@@ -1,8 +1,9 @@
 """Every public def and class in the package has a caller outside the tests,
 only the line log appends to files, only ``ledger.py`` opens a file for
 writing, only the entry reader splits ``name: value`` lines, every
-name the bench tracer wraps is still where it looks, and the CLI has
-exactly the options listed here.
+name the bench tracer wraps is still where it looks and still called
+where a traced run expects it, and the CLI has exactly the options
+listed here.
 
 A public module-level or class-level function or class that nothing in
 ``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
@@ -13,13 +14,15 @@ or kept on purpose.
 import argparse
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from tweetpipe.cli import build_parser
+from tweetpipe.cli import build_parser, main
+from tweetpipe.gateway import CATEGORIES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tweetpipe"
@@ -186,6 +189,45 @@ def test_a_wrapper_set_on_each_traced_cli_name_is_called(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.splitlines()[-1] == ",".join(names)
+
+
+# The traced gateway and ledger methods that a gateway run does not call:
+# erase_remap and the ledger command reach them.
+NOT_REACHED_BY_GATEWAY = {"PrivacyGateway.remap", "Vault.erase", "ComplianceLedger.record",
+                          "ComplianceLedger.transparency_report"}
+
+
+def recording(name: str, fn, called: set):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_a_wrapper_set_on_each_traced_gateway_name_is_called(tmp_path, monkeypatch, capsys):
+    # The tracer wraps these at the class attribute; a refactor that stops
+    # calling one would lose its span in a traced run.
+    targets = [(module_name, attr) for module_name, attr, _span in tracer_targets()
+               if module_name in ("tweetpipe.gateway", "tweetpipe.ledger")]
+    names = {attr for _module_name, attr in targets}
+    assert NOT_REACHED_BY_GATEWAY < names
+    called: set[str] = set()
+    for module_name, attr in targets:
+        owner_name, name = attr.split(".")
+        owner = getattr(importlib.import_module(module_name), owner_name)
+        monkeypatch.setattr(owner, name, recording(attr, getattr(owner, name), called))
+    feed = tmp_path / "feed.json"
+    feed.write_text(json.dumps([
+        {"creation_date": "Sat Sep 07 20:14:03 +0000 2019", "id": str(100 + n), "lang": "en",
+         "location": "Delhi", "name": f"Writer {n}", "username": f"writer_{n}",
+         "text": f"OT sushi and a flight with @writer_{1 - n}", "country": None, "city": None}
+        for n in range(2)
+    ]), encoding="utf-8")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    assert main(["--data-dir", str(tmp_path / "data"), "--seed", "7", "gateway",
+                 "--in", str(feed), "--registry", str(registry)]) == 0
+    assert called == names - NOT_REACHED_BY_GATEWAY
 
 
 # Each command's option strings, -h/--help aside. A new flag gets in only
