@@ -30,10 +30,12 @@ _NAME_RE = re.compile(r"^[\w.-]+$")
 
 
 class ParseError(ValueError):
-    """A line of a user-written input file is malformed."""
+    """A line of a user-written input file is malformed; line_num is None
+    when the message itself says where."""
 
-    def __init__(self, path, line_num: int, message: str):
-        super().__init__(f"{path}:{line_num}: {message}")
+    def __init__(self, path, line_num: int | None, message: str):
+        where = path if line_num is None else f"{path}:{line_num}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line_num = line_num
 

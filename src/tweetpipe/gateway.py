@@ -1,23 +1,24 @@
 """Pseudonymizing gateway between processed tweets and outside services.
 
 The gateway never lets an identity cross the boundary: each user is
-replaced by a stable opaque code from a vault, payloads carry only
-fields classified as invulnerable, text is scrubbed of every registered
-identifier, and every bundle's disclosure entry is committed to the
-compliance ledger before the bundle leaves. Returned recommendations are
-re-mapped to the real user inside the boundary via the same vault.
+replaced by a stable opaque code from a vault, payloads carry only the
+record's non-identifying INVULNERABLE_FIELDS, text is scrubbed of every
+registered identifier, and every bundle's disclosure entry is committed
+to the compliance ledger before the bundle leaves. Returned
+recommendations are re-mapped to the real user inside the boundary via
+the same vault.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring
+from operator import attrgetter
 
 from .analyzer import ParseError, read_entries
 from .clock import SystemClock
@@ -27,27 +28,19 @@ from .ledger import (
     EVENT_ERASURE,
     ComplianceLedger,
     LineLog,
-    encode_json,
     json_object,
+    valid_retention_days,
 )
 from .processor import ProcessedTweet
 
 log = logging.getLogger(__name__)
 
-VULNERABLE = "vulnerable"
-INVULNERABLE = "invulnerable"
-
-VULNERABLE_FIELDS = frozenset({"name", "username", "id", "location", "city"})
 # Exactly these fields leave the gateway, as payload keys in this order; a
-# tuple, because a frozenset's order changes between processes.
+# tuple, because a frozenset's order changes between processes. Text comes
+# first: pseudonymize scrubs it and takes the others as they are.
 INVULNERABLE_FIELDS = ("text", "lang", "country", "creation_date")
 _PAYLOAD_JSON = json_object(INVULNERABLE_FIELDS)
-
-THREAT_INTELLIGENCE = "threat_intelligence"
-TARGETED_ADVERTISING = "targeted_advertising"
-PREFERENCE_MANIPULATION = "preference_manipulation"
-THREATS = (THREAT_INTELLIGENCE, TARGETED_ADVERTISING, PREFERENCE_MANIPULATION)
-DEFAULT_THREAT = TARGETED_ADVERTISING
+_UNSCRUBBED_FIELDS = attrgetter(*INVULNERABLE_FIELDS[1:])
 
 CATEGORY_ECOMMERCE = "ecommerce"
 CATEGORY_DEMOGRAPHIC = "demographic_social"
@@ -68,10 +61,6 @@ SINK_TIMEOUT_S = 10.0
 DISPATCH_GROUP = 32
 
 
-class UnknownFieldError(KeyError):
-    """Field name outside the processed-record schema."""
-
-
 class UnknownCodeError(KeyError):
     """Code not bound in the vault (never issued, or erased)."""
 
@@ -89,53 +78,18 @@ class VaultError(Exception):
 
 
 @dataclass(frozen=True)
-class SensitivityLabel:
-    field_name: str
-    label: str
-    threat: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.threat is not None) and self.label != VULNERABLE:
-            raise ValueError("threat tags apply to vulnerable fields only")
-
-
-def classify_sensitivity(field_name: str, threat_policy: dict | None = None) -> SensitivityLabel:
-    """Label one processed-record field as vulnerable or invulnerable.
-
-    Vulnerable fields carry a threat tag: targeted_advertising unless a
-    policy mapping overrides it.
-    """
-    if field_name in VULNERABLE_FIELDS:
-        threat = (threat_policy or {}).get(field_name, DEFAULT_THREAT)
-        if threat not in THREATS:
-            raise ValueError(f"unknown threat tag: {threat!r}")
-        return SensitivityLabel(field_name, VULNERABLE, threat)
-    if field_name in INVULNERABLE_FIELDS:
-        return SensitivityLabel(field_name, INVULNERABLE)
-    raise UnknownFieldError(field_name)
-
-
-@dataclass(frozen=True)
 class CategoryBundle:
+    """One category's copy of a pseudonymized record: the author's code
+    and the JSON object of the record's INVULNERABLE_FIELDS, which the
+    bundles of one record share."""
+
     code: str
     category: str
-    payload: dict
-    # encode_json(payload), encoded here unless given: the bundles of one
-    # record share the payload and its encoding. A cache, not part of the
-    # bundle's value.
-    payload_json: str = field(default="", compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.payload_json:
-            object.__setattr__(self, "payload_json", encode_json(self.payload))
-
-    def to_dict(self) -> dict:
-        # Not copied: the bundles of one record share the payload, and
-        # every caller only serializes the result.
-        return {"code": self.code, "category": self.category, "payload": self.payload}
+    payload_json: str
 
     def line(self) -> str:
-        """encode_json(self.to_dict()), with the payload's encoding spliced in."""
+        """The bundle as one JSON object, its payload spliced in: the
+        bytes every sink receives, UTF-8 encoded."""
         return (f'{{"code": {encode_basestring(self.code)}, '
                 f'"category": {encode_basestring(self.category)}, "payload": {self.payload_json}}}')
 
@@ -266,9 +220,6 @@ class Vault(LineLog):
             raise UnknownCodeError(code)
         return user_key
 
-    def code_for(self, user_key: str) -> str | None:
-        return self._by_key.get(user_key)
-
 
 _ASCII_WORD = re.compile(r"[A-Za-z0-9_]+")
 # The words of a lower-cased ASCII text: its runs of \w characters.
@@ -354,7 +305,7 @@ class DirectorySink(LineLog):
 
 
 class HttpSink:
-    """Delivers bundles by POSTing JSON to a service URL."""
+    """Delivers bundles by POSTing each one's line to a service URL."""
 
     def __init__(self, url: str):
         self.url = url
@@ -368,7 +319,7 @@ class HttpSink:
         for delivered, bundle in enumerate(bundles):
             request = Request(
                 self.url,
-                data=json.dumps(bundle.to_dict(), allow_nan=False).encode(),
+                data=bundle.line().encode(),
                 headers={"Content-Type": "application/json"},
             )
             try:
@@ -444,7 +395,7 @@ class PrivacyGateway:
                  retention_days: int = 30):
         # Checked here too, so no record is enrolled or delivered before
         # the ledger would refuse to record the disclosure.
-        if isinstance(retention_days, bool) or retention_days < 1:
+        if not valid_retention_days(retention_days):
             raise ValueError("retention_days must be at least 1")
         self.vault = vault
         self.ledger = ledger
@@ -539,13 +490,9 @@ class PrivacyGateway:
         decided on the original text, before scrubbing, so classification
         never depends on who is registered.
         """
-        payload = {name: getattr(t, name) for name in INVULNERABLE_FIELDS}
-        payload["text"] = self._scrub(t.text)
-        payload_json = _PAYLOAD_JSON(*payload.values())
-        return [
-            CategoryBundle(code=code, category=category, payload=payload, payload_json=payload_json)
-            for category in self.rules.categories_for(t.text)
-        ]
+        payload_json = _PAYLOAD_JSON(self._scrub(t.text), *_UNSCRUBBED_FIELDS(t))
+        return [CategoryBundle(code, category, payload_json)
+                for category in self.rules.categories_for(t.text)]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
         """Enrol every author, fsync the vault, then pseudonymize and

@@ -70,6 +70,11 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def valid_retention_days(value) -> bool:
+    """A disclosure's retention_days: a count of at least one day."""
+    return _is_count(value) and value >= 1
+
+
 # A ledger entry's keys in line order; a delivery_failed entry adds the
 # seq of the disclosure it cites.
 _ENTRY_KEYS = ("seq", "event", "subject_code", "beneficiary", "purpose", "retention_days", "at")
@@ -388,7 +393,7 @@ class ComplianceLedger(LineLog):
                 raise ValidationError("disclosure requires a beneficiary")
             if not purpose:
                 raise ValidationError("disclosure requires a purpose")
-            if not _is_count(retention_days) or retention_days < 1:
+            if not valid_retention_days(retention_days):
                 raise ValidationError("disclosure requires positive retention_days")
         elif beneficiary is not None or purpose is not None or retention_days is not None:
             raise ValidationError(f"{event} entries cannot carry disclosure fields")

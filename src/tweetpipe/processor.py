@@ -243,9 +243,32 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
 
 
 def read_processed_file(path) -> list[ProcessedTweet]:
-    """Load a processed JSON array back into ProcessedTweet objects."""
-    with open(path, encoding="utf-8") as fh:
-        return [ProcessedTweet(**d) for d in json.load(fh)]
+    """Load a processed JSON array back into ProcessedTweet objects.
+
+    A malformed file raises ParseError with its path: with the line of a
+    JSON syntax error, or with the index of the first element that is not
+    an object of ProcessedTweet's fields. No field value is quoted.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError:
+        raise ParseError(path, None, "not valid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno,
+                         f"{exc.msg.removesuffix(' at')} at column {exc.colno}") from None
+    if not isinstance(data, list):
+        raise ParseError(path, None, "not a JSON array of records")
+    records = []
+    for index, d in enumerate(data):
+        try:
+            records.append(ProcessedTweet(**d))
+        except TypeError:
+            raise ParseError(path, None, f"record {index} is not an object of the fields "
+                             f"{', '.join(f.name for f in fields(ProcessedTweet))}") from None
+        except ValueError as exc:  # ProcessedTweet's own check, which quotes no value
+            raise ParseError(path, None, f"record {index}: {exc}") from None
+    return records
 
 
 def find_crawl_files(root) -> list[str]:

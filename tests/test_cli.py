@@ -366,6 +366,43 @@ def test_analyze_cli(tmp_path, capsys):
     assert content == "key,count\nen,2\nhi,1\n"
 
 
+SECRET_RECORD = {"creation_date": "Sat Sep 07 20:14:03 +0000 2019", "id": "4242424242",
+                 "lang": "xx", "location": "Secret Street", "name": "Secret Name",
+                 "username": "secret_handle", "text": "OT secret words", "country": "India",
+                 "city": "Delhi"}
+FIELDS = "creation_date, id, lang, location, name, username, text, country, city"
+
+
+@pytest.mark.parametrize("content,message", [
+    # cut inside the record's fourth line
+    (json.dumps([SECRET_RECORD], indent=2)[:75].encode(),
+     ":4: Unterminated string starting at column 11"),
+    (json.dumps([SECRET_RECORD, "OT secret words"]).encode(),
+     f": record 1 is not an object of the fields {FIELDS}"),
+    (json.dumps([{k: v for k, v in SECRET_RECORD.items() if k != "username"}]).encode(),
+     f": record 0 is not an object of the fields {FIELDS}"),
+    (json.dumps([{**SECRET_RECORD, "country": None}]).encode(),
+     ": record 0: a city match implies its country"),
+    (json.dumps(SECRET_RECORD).encode(), ": not a JSON array of records"),
+    (b'[{"text": "OT secret \xff"}]', ": not valid UTF-8"),
+], ids=["syntax", "not-an-object", "missing-field", "city-without-country", "not-an-array",
+        "not-utf8"])
+@pytest.mark.parametrize("command", ["analyze", "gateway"])
+def test_a_malformed_processed_file_is_named_in_the_error(tmp_path, capsys, command, content,
+                                                          message):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_processed(good)
+    bad.write_bytes(content)
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    args = {"analyze": ["analyze", "--in", str(good), str(bad), str(good)],
+            "gateway": ["gateway", "--in", str(bad), "--registry", str(registry)]}[command]
+    assert main(["--data-dir", str(tmp_path / "data"), *args]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}{message}\n"
+    assert not any(str(value) in err for value in SECRET_RECORD.values())
+
+
 def test_prune_cli(tmp_path):
     in_csv = tmp_path / "in.csv"
     in_csv.write_text("key,count\na,5\nb,9\nc,1\n", encoding="utf-8")

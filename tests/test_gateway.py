@@ -26,7 +26,6 @@ from tweetpipe.gateway import (
     DISPATCH_GROUP,
     INVULNERABLE_FIELDS,
     PURPOSE,
-    VULNERABLE_FIELDS,
     SCRUB_MIN_LENGTH,
     SCRUB_REPLACEMENT,
     DirectorySink,
@@ -34,15 +33,12 @@ from tweetpipe.gateway import (
     NoServiceForCategoryError,
     PrivacyGateway,
     Recommendation,
-    SensitivityLabel,
     ServiceRegistry,
     UnknownCodeError,
-    UnknownFieldError,
     UnknownUserError,
     Vault,
     VaultError,
     _fold,
-    classify_sensitivity,
     user_key_for,
 )
 from tweetpipe.ledger import ComplianceLedger
@@ -95,46 +91,23 @@ def bundles_for(gateway, pt):
     return gateway.pseudonymize(pt, enrol(gateway, pt))
 
 
-# ------------------------------------------------------------- sensitivity
+def payload_of(bundle):
+    return json.loads(bundle.payload_json)
 
 
-def test_identity_fields_are_vulnerable():
-    for field in ("name", "username", "id", "location", "city"):
-        label = classify_sensitivity(field)
-        assert label.label == "vulnerable"
-        assert label.threat == "targeted_advertising"
+# ------------------------------------------------------------------ schema
 
 
-def test_content_fields_are_invulnerable():
-    for field in ("lang", "country", "creation_date", "text"):
-        label = classify_sensitivity(field)
-        assert label.label == "invulnerable"
-        assert label.threat is None
+# The paper's identity fields: who wrote a record, and where they are.
+VULNERABLE_FIELDS = frozenset({"name", "username", "id", "location", "city"})
 
 
 def test_every_record_field_is_classified():
-    names = {f.name for f in dataclasses.fields(ProcessedTweet)}
-    for name in names:
-        classify_sensitivity(name)
-    assert names == VULNERABLE_FIELDS | set(INVULNERABLE_FIELDS)
-
-
-def test_unknown_field_rejected():
-    with pytest.raises(UnknownFieldError):
-        classify_sensitivity("shoe_size")
-
-
-def test_threat_policy_override():
-    policy = {"location": "threat_intelligence"}
-    label = classify_sensitivity("location", threat_policy=policy)
-    assert label.threat == "threat_intelligence"
-    with pytest.raises(ValueError):
-        classify_sensitivity("location", threat_policy={"location": "bad-tag"})
-
-
-def test_invulnerable_fields_never_carry_a_threat():
-    with pytest.raises(ValueError):
-        SensitivityLabel(field_name="lang", label="invulnerable", threat="x")
+    # A field added to the record must be placed on one side of the
+    # boundary: in the payload's allow-list or among the identity fields.
+    names = [f.name for f in dataclasses.fields(ProcessedTweet)]
+    assert sorted(names) == sorted(VULNERABLE_FIELDS | set(INVULNERABLE_FIELDS))
+    assert VULNERABLE_FIELDS.isdisjoint(INVULNERABLE_FIELDS)
 
 
 # ------------------------------------------------------------------- vault
@@ -196,8 +169,8 @@ def test_vault_survives_reopen(tmp_path):
     with Vault(path) as vault:
         code = vault.register("asha_rao:1")
     with Vault(path) as vault:
-        assert vault.code_for("asha_rao:1") == code
         assert vault.user_for(code) == "asha_rao:1"
+        assert vault.register("asha_rao:1") == code
 
 
 def test_erase_tombstones_binding(tmp_path):
@@ -207,7 +180,7 @@ def test_erase_tombstones_binding(tmp_path):
         assert vault.erase("asha_rao:1") == code
         with pytest.raises(UnknownCodeError):
             vault.user_for(code)
-        assert vault.code_for("asha_rao:1") is None
+        assert len(vault) == 0
     # the tombstone holds across restarts too
     with Vault(path) as vault:
         with pytest.raises(UnknownCodeError):
@@ -256,7 +229,7 @@ def test_torn_final_binding_is_cut_at_every_byte(tmp_path):
         path.write_bytes(torn)
         with Vault(path) as vault:
             assert path.read_bytes() == torn  # reading leaves the file alone
-            assert vault.code_for("zoë_ñandú:2") is None
+            assert len(vault) == 1  # only asha_rao:1 is bound
             code = vault.register("bena_kapoor:3")
             vault.erase("asha_rao:1")
         with Vault(path) as vault:
@@ -388,11 +361,10 @@ def test_bundle_payload_has_no_identity_fields(gateway):
     bundles = bundles_for(gateway, pt)
     assert bundles
     for bundle in bundles:
-        assert list(bundle.payload) == list(INVULNERABLE_FIELDS)
-        serialized = json.dumps(bundle.to_dict())
+        assert list(payload_of(bundle)) == list(INVULNERABLE_FIELDS)
         for secret in (pt.username, pt.name, pt.id, pt.location):
-            assert secret not in serialized
-        assert bundle.code == gateway.vault.code_for(user_key_for(pt.username, pt.id))
+            assert secret not in bundle.line()
+        assert gateway.vault.user_for(bundle.code) == user_key_for(pt.username, pt.id)
 
 
 # Characters JSON escapes or that older encoders mishandle: quote,
@@ -406,9 +378,11 @@ JSON_EDGE_CHARACTERS = st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "
        country=st.none() | st.text(max_size=5), code=st.text(JSON_EDGE_CHARACTERS, max_size=3))
 def test_spliced_sink_line_equals_the_encoded_bundle(text, country, code):
     gw = PrivacyGateway(vault=KeyVault(), ledger=None)
-    for bundle in gw.pseudonymize(make_pt(text=text, country=country), "c" + code):
-        assert bundle.line() == json.dumps(bundle.to_dict(), ensure_ascii=False)
-        assert bundle.line() == CategoryBundle(bundle.code, bundle.category, bundle.payload).line()
+    pt = make_pt(text=text, country=country)
+    payload = {"text": text, "lang": pt.lang, "country": country, "creation_date": pt.creation_date}
+    for bundle in gw.pseudonymize(pt, "c" + code):
+        reference = {"code": "c" + code, "category": bundle.category, "payload": payload}
+        assert bundle.line() == json.dumps(reference, ensure_ascii=False)
 
 
 def test_one_bundle_per_category(gateway):
@@ -420,21 +394,21 @@ def test_one_bundle_per_category(gateway):
 def test_self_mention_is_scrubbed(gateway):
     pt = make_pt(text="OT follow @asha_rao for chai takes", username="asha_rao")
     bundle = bundles_for(gateway, pt)[0]
-    assert "asha_rao" not in bundle.payload["text"]
-    assert "***" in bundle.payload["text"]
+    assert "asha_rao" not in payload_of(bundle)["text"]
+    assert "***" in payload_of(bundle)["text"]
 
 
 def test_other_registered_users_are_scrubbed_too(gateway):
     gateway.register_user("bena_k:77", identifiers=("bena_k", "Bena K", "77"))
     bundle = bundles_for(gateway, make_pt(text="OT lunch with @bena_k was fun"))[0]
-    assert "bena_k" not in bundle.payload["text"]
+    assert "bena_k" not in payload_of(bundle)["text"]
 
 
 def test_scrubbing_is_case_insensitive_and_longest_first(gateway):
     gateway.register_user("anna:1", identifiers=("anna",))
     gateway.register_user("anna_banana:2", identifiers=("anna_banana",))
     bundle = bundles_for(gateway, make_pt(text="OT ANNA_BANANA and anna say hi"))[0]
-    text = bundle.payload["text"]
+    text = payload_of(bundle)["text"]
     assert "anna" not in text.lower()
     assert text.count("***") == 2
 
@@ -444,7 +418,7 @@ def test_categories_decided_before_scrubbing(gateway):
     gateway.register_user("deal:9", identifiers=("deal",))
     bundles = bundles_for(gateway, make_pt(text="OT what a deal today"))
     assert [b.category for b in bundles] == ["ecommerce"]
-    assert "deal" not in bundles[0].payload["text"]
+    assert "deal" not in payload_of(bundles[0])["text"]
 
 
 def recording(calls, fn):
@@ -464,7 +438,7 @@ def test_reenrolment_keeps_codes_and_scrubbing(gateway):
     gateway.erase_user(user_key_for(pt.username, pt.id))
     again = bundles_for(gateway, pt)[0]
     assert again.code != first.code
-    assert "asha_rao" not in again.payload["text"]
+    assert "asha_rao" not in payload_of(again)["text"]
     # new identifiers under a known key are scrubbed too
     assert gateway.register_user(user_key_for(pt.username, pt.id),
                                  identifiers=(pt.username, "Asha R. Rao", pt.id)) == again.code
@@ -492,7 +466,7 @@ def test_dispatch_feed_enrols_each_record_once(gateway, monkeypatch):
     assert len(registered) == len(feed)
     # every author was enrolled before the first record was pseudonymized
     assert enrolled_at_pseudonymize == [len(feed)] * len(feed)
-    assert "bena_k" not in sinks["food"].bundles[0].payload["text"]
+    assert "bena_k" not in payload_of(sinks["food"].bundles[0])["text"]
     assert not hasattr(gateway, "_indexed")
     assert not hasattr(gateway, "_register_author")
 
@@ -613,9 +587,10 @@ def test_dispatch_logs_exactly_one_disclosure(gateway):
     assert entry["retention_days"] == 30
 
 
-@pytest.mark.parametrize("days", [0, True])
+@pytest.mark.parametrize("days", [0, True, 2.5])
 def test_gateway_refuses_a_retention_the_ledger_would_refuse(gateway, days):
-    # True equals 1 but is a bool, which the ledger refuses.
+    # True equals 1 but is a bool, and 2.5 is no count of days; the ledger
+    # refuses both.
     with pytest.raises(ValueError, match="retention_days must be at least 1"):
         PrivacyGateway(gateway.vault, gateway.ledger, retention_days=days)
 
@@ -637,15 +612,14 @@ def test_directory_sink_appends_jsonl(tmp_path, gateway):
         gateway.dispatch([bundle], registry)
         gateway.dispatch([bundle], registry)
     lines = (tmp_path / "food" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[0]) == bundle.to_dict()
+    assert lines == [bundle.line()] * 2
 
 
 def test_directory_sink_cuts_a_torn_tail_at_every_byte(tmp_path, caplog):
     path = tmp_path / "food" / "bundles.jsonl"
     first, second, third = (
         CategoryBundle(code=c * CODE_HEX_LENGTH, category="food",
-                       payload={"text": text, "lang": "en"})
+                       payload_json=json.dumps({"text": text, "lang": "en"}, ensure_ascii=False))
         for c, text in (("a", "OT sushi"), ("b", "OT café ☃ 😀"), ("c", "OT ramen")))
     with DirectorySink(tmp_path / "food") as sink:
         sink.deliver([first])
@@ -665,7 +639,7 @@ def test_directory_sink_cuts_a_torn_tail_at_every_byte(tmp_path, caplog):
         expected = f"{path}: skipping a torn final line at byte {len(head)}"
         assert [r.getMessage() for r in caplog.records] == ([expected] if cut else [])
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == [first.to_dict(), third.to_dict()]
+        assert lines == [first.line(), third.line()]
 
 
 def test_ledger_entry_is_on_disk_before_its_sink_line(tmp_path, gateway, monkeypatch):
@@ -743,6 +717,7 @@ def post_server():
 
 
 def test_http_sink_posts_bundle_as_json(post_server, gateway):
+    # the bytes a directory sink writes, so non-ASCII text goes out as UTF-8
     url, handler = post_server
     with ServiceRegistry() as registry:
         registry.add("food", HttpSink(url), beneficiary="svc-food")
@@ -750,7 +725,8 @@ def test_http_sink_posts_bundle_as_json(post_server, gateway):
         gateway.dispatch([bundle], registry)
     [(content_type, body)] = handler.posts
     assert content_type == "application/json"
-    assert json.loads(body) == bundle.to_dict()
+    assert body == bundle.line().encode()
+    assert json.loads(body)["payload"]["text"] == "OT sushi night, café after"
     assert len(gateway.ledger) == 1
 
 
@@ -785,8 +761,8 @@ def test_a_failed_delivery_logs_every_bundle_it_did_not_confirm(post_server, gat
             gateway.dispatch(bundles, registry)
     # food posted bundle 0, was refused bundle 2 and never sent bundle 3;
     # travel, which comes after food, got nothing
-    assert [json.loads(body) for _type, body in handler.posts] == \
-        [bundles[0].to_dict(), bundles[2].to_dict()]
+    assert [body for _type, body in handler.posts] == \
+        [bundles[0].line().encode(), bundles[2].line().encode()]
     assert travel.bundles == []
     entries = read_entries(gateway.ledger.path)
     assert [(e["event"], e["subject_code"]) for e in entries[:4]] == \

@@ -31,8 +31,6 @@ PACKAGE = ROOT / "src" / "tweetpipe"
 ALLOWED = {
     "mockserver._Handler.do_GET": "http.server dispatches GET requests to it by name",
     "mockserver._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
-    "gateway.classify_sensitivity": "the field classification the gateway's payload encodes",
-    "gateway.Vault.code_for": "the read-only lookup of a user's current code",
 }
 
 
