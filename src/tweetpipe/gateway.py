@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring
-from operator import attrgetter
+from typing import NamedTuple
 
 from .analyzer import ParseError, read_entries
 from .clock import SystemClock
@@ -28,7 +28,6 @@ from .ledger import (
     EVENT_ERASURE,
     ComplianceLedger,
     LineLog,
-    json_object,
     valid_retention_days,
 )
 from .processor import ProcessedTweet
@@ -39,8 +38,6 @@ log = logging.getLogger(__name__)
 # tuple, because a frozenset's order changes between processes. Text comes
 # first: pseudonymize scrubs it and takes the others as they are.
 INVULNERABLE_FIELDS = ("text", "lang", "country", "creation_date")
-_PAYLOAD_JSON = json_object(INVULNERABLE_FIELDS)
-_UNSCRUBBED_FIELDS = attrgetter(*INVULNERABLE_FIELDS[1:])
 
 CATEGORY_ECOMMERCE = "ecommerce"
 CATEGORY_DEMOGRAPHIC = "demographic_social"
@@ -77,8 +74,7 @@ class VaultError(Exception):
     """Vault storage corrupt or code minting failed."""
 
 
-@dataclass(frozen=True)
-class CategoryBundle:
+class CategoryBundle(NamedTuple):
     """One category's copy of a pseudonymized record: the author's code
     and the JSON object of the record's INVULNERABLE_FIELDS, which the
     bundles of one record share."""
@@ -119,11 +115,6 @@ def _fold(text: str) -> str:
     if len(lowered) == len(text):
         return lowered
     return "".join(lc if len(lc := c.lower()) == 1 else c for c in text)
-
-
-# The vault's two kinds of line.
-_BIND_JSON = json_object(("op", "user_key", "code", "created_at"))
-_ERASE_JSON = json_object(("op", "code", "at"))
 
 
 def user_key_for(username: str, user_id: str) -> str:
@@ -198,7 +189,10 @@ class Vault(LineLog):
         if existing is not None:
             return existing
         code = self._mint_code(avoid)
-        self._write((_BIND_JSON("bind", user_key, code, self._clock.now_ms()) + "\n").encode())
+        # The line encode_json writes for the bind's dict; a minted code is
+        # hex, which JSON writes between quotes as it is.
+        self._write(f'{{"op": "bind", "user_key": {encode_basestring(user_key)}, "code": "{code}", '
+                    f'"created_at": {self._clock.now_ms()}}}\n'.encode())
         self._by_key[user_key] = code
         self._by_code[code] = user_key
         return code
@@ -208,7 +202,8 @@ class Vault(LineLog):
         code = self._by_key.get(user_key)
         if code is None:
             raise UnknownUserError(user_key)
-        self.append((_ERASE_JSON("erase", code, self._clock.now_ms()) + "\n").encode())
+        self.append(f'{{"op": "erase", "code": {encode_basestring(code)}, '
+                    f'"at": {self._clock.now_ms()}}}\n'.encode())
         self.sync()
         del self._by_key[user_key]
         del self._by_code[code]
@@ -490,7 +485,11 @@ class PrivacyGateway:
         decided on the original text, before scrubbing, so classification
         never depends on who is registered.
         """
-        payload_json = _PAYLOAD_JSON(self._scrub(t.text), *_UNSCRUBBED_FIELDS(t))
+        country = "null" if t.country is None else encode_basestring(t.country)
+        # The JSON object of the INVULNERABLE_FIELDS, in that order.
+        payload_json = (f'{{"text": {encode_basestring(self._scrub(t.text))}, '
+                        f'"lang": {encode_basestring(t.lang)}, "country": {country}, '
+                        f'"creation_date": {encode_basestring(t.creation_date)}}}')
         return [CategoryBundle(code, category, payload_json)
                 for category in self.rules.categories_for(t.text)]
 
@@ -518,26 +517,28 @@ class PrivacyGateway:
         """Log one disclosure per bundle, then deliver them; returns the
         entries' ledger sequence numbers, in bundle order.
 
-        Every bundle is routed first, so a category without a service
-        fails before anything is logged. The disclosures are committed in
-        one ledger append (and fsync) before any sink sees a bundle, so a
-        crash can leave a disclosure without its delivery, never a
-        delivery the ledger does not know. Each sink then gets its bundles,
-        in order, in one deliver call. If a sink raises, every bundle it
+        Each category among the bundles is routed once, first, so a
+        category without a service fails before anything is logged. The
+        disclosures are committed in one ledger append (and fsync) before
+        any sink sees a bundle, so a crash can leave a disclosure without
+        its delivery, never a delivery the ledger does not know. Each sink
+        then gets its bundles, in order, in one deliver call. If a sink raises, every bundle it
         did not confirm, and every bundle of a sink not yet reached, gets
         a delivery_failed entry citing its disclosure; those are committed
         and the error propagates. The disclosures stay: a disclosure log
         may over-report, never under-report. The codes must already be
         synced in the vault, as dispatch_feed does before its first group.
         """
-        routes = [registry.route(b.category) for b in bundles]
+        categories = [b.category for b in bundles]
+        routes = {category: registry.route(category) for category in dict.fromkeys(categories)}
+        days = self.retention_days
         seqs = self.ledger.record_all(
-            {"event": EVENT_DISCLOSURE, "subject_code": b.code, "beneficiary": beneficiary,
-             "purpose": PURPOSE, "retention_days": self.retention_days}
-            for b, (_sink, beneficiary) in zip(bundles, routes))
+            {"event": EVENT_DISCLOSURE, "subject_code": b.code,
+             "beneficiary": routes[b.category][1], "purpose": PURPOSE, "retention_days": days}
+            for b in bundles)
         by_sink: dict[object, list[int]] = {}
-        for i, (sink, _beneficiary) in enumerate(routes):
-            by_sink.setdefault(sink, []).append(i)
+        for i, category in enumerate(categories):
+            by_sink.setdefault(routes[category][0], []).append(i)
         unconfirmed = set(range(len(bundles)))
         for sink, indices in by_sink.items():
             try:

@@ -18,6 +18,7 @@ import mmap
 import os
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 
 from .clock import SystemClock
 
@@ -37,28 +38,6 @@ _scan = json.JSONDecoder().raw_decode
 # ensure_ascii=False) renders it; json.dumps builds a new encoder on each
 # call that passes an option, this one is built once.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
-# How encode_json renders a value of each exact type the fixed-key lines
-# hold; any other value goes through encode_json itself.
-_VALUE_JSON = {str: json.encoder.encode_basestring, int: int.__repr__,
-               type(None): lambda _value: "null"}
-
-
-def json_object(keys: tuple[str, ...]):
-    """A function of one value per key that returns encode_json of the dict
-    of those keys, in this order, and values.
-
-    The keys are rendered once, into a template; a call renders only the
-    values, each with what encode_json uses for its type, so the text is
-    the same for every value encode_json accepts.
-    """
-    template = ("{{" + ", ".join(
-        json.encoder.encode_basestring(key).replace("{", "{{").replace("}", "}}") + ": {}"
-        for key in keys) + "}}").format
-
-    def encode(*values) -> str:
-        return template(*[_VALUE_JSON.get(type(v), encode_json)(v) for v in values])
-
-    return encode
 
 
 class ValidationError(ValueError):
@@ -75,11 +54,20 @@ def valid_retention_days(value) -> bool:
     return _is_count(value) and value >= 1
 
 
-# A ledger entry's keys in line order; a delivery_failed entry adds the
-# seq of the disclosure it cites.
-_ENTRY_KEYS = ("seq", "event", "subject_code", "beneficiary", "purpose", "retention_days", "at")
-_ENTRY_JSON = json_object(_ENTRY_KEYS)
-_CITING_ENTRY_JSON = json_object((*_ENTRY_KEYS, "disclosure_seq"))
+# The keys of an entry dict: record's keyword arguments.
+_ENTRY_ARGS = frozenset(("event", "subject_code", "beneficiary", "purpose", "retention_days",
+                         "disclosure_seq"))
+
+
+def _entry_template(event, beneficiary, purpose, retention_days) -> tuple[str, str]:
+    """The constant text of one shape's entries, rendered by encode_json:
+    what comes between seq and subject_code, and between subject_code and
+    at. An entry's line is what encode_json writes for its dict, with the
+    keys in this order: seq, event, subject_code, beneficiary, purpose,
+    retention_days, at, and disclosure_seq when it cites one."""
+    return (f', "event": {encode_json(event)}, "subject_code": ',
+            f', "beneficiary": {encode_json(beneficiary)}, "purpose": {encode_json(purpose)}, '
+            f'"retention_days": {encode_json(retention_days)}, "at": ')
 
 
 def _decode(line: bytes) -> dict | None:
@@ -308,6 +296,7 @@ class ComplianceLedger(LineLog):
         # same second share one rendering.
         self._at_second: int | None = None
         self._at = ""
+        self._templates: dict[tuple, tuple[str, str]] = {}  # by entry shape; see record_all
         self._seq = self._last_seq()  # of the last entry
 
     def _last_seq(self) -> int:
@@ -352,11 +341,11 @@ class ComplianceLedger(LineLog):
     ) -> int:
         """Append one entry; returns its sequence number.
 
-        Disclosures must name beneficiary, purpose and a positive
-        retention_days, and only they may. disclosure_seq, the earlier
-        entry it cites, exists only for delivery_failed entries, which
-        must have one. Fields that make no sense for an event are
-        rejected rather than silently dropped.
+        Disclosures must name a beneficiary and a purpose, both strings,
+        and a positive retention_days, and only they may. disclosure_seq,
+        the earlier entry it cites, exists only for delivery_failed
+        entries, which must have one. Fields that make no sense for an
+        event are rejected rather than silently dropped.
         """
         return self.record_all([{"event": event, "subject_code": subject_code,
                                  "beneficiary": beneficiary, "purpose": purpose,
@@ -367,9 +356,40 @@ class ComplianceLedger(LineLog):
         """Append one entry per dict of record's keyword arguments; returns
         their seqs. Every entry is checked before any is written; then the
         batch goes out in one append and one fsync. The entries share one
-        `at`, so a batch never reads as going back in time."""
+        `at`, so a batch never reads as going back in time.
+
+        An entry's shape is its event, beneficiary, purpose and
+        retention_days (with its type), and whether it cites a seq. The
+        first entry of each shape goes through all of record's checks, and
+        its line template is kept; later entries of a known shape check
+        only their keys, their subject_code and the seq they cite, then
+        fill the template. Anything else they hold goes through all the
+        checks again.
+        """
         first, at = self._seq + 1, self._iso_now()
-        self._commit([self._entry(seq, at, **fields) for seq, fields in enumerate(entries, first)])
+        at_json = encode_basestring(at)
+        templates = self._templates
+        lines = []
+        for seq, fields in enumerate(entries, first):
+            days, cited, code = (fields.get("retention_days"), fields.get("disclosure_seq"),
+                                 fields.get("subject_code"))
+            shape = (fields.get("event"), fields.get("beneficiary"), fields.get("purpose"), days,
+                     type(days), cited is not None)
+            try:
+                template = templates.get(shape)
+            except TypeError:  # an unhashable field, which _check refuses
+                template = None
+            if template is None or not (
+                    code and type(code) is str and fields.keys() <= _ENTRY_ARGS
+                    and (cited is None or type(cited) is int and 0 < cited < seq)):
+                self._check(seq, **fields)
+                if template is None:
+                    template = templates[shape] = _entry_template(*shape[:4])
+            mid, rest = template
+            # int.__repr__ is how encode_json writes an int, subclasses too.
+            end = "}\n" if cited is None else f', "disclosure_seq": {int.__repr__(cited)}}}\n'
+            lines.append(f'{{"seq": {seq}{mid}{encode_basestring(code)}{rest}{at_json}{end}')
+        self._commit(lines)
         return list(range(first, self._seq + 1))
 
     def record_breach(self, affected_codes) -> list[int]:
@@ -380,18 +400,19 @@ class ComplianceLedger(LineLog):
             raise ValidationError("a breach notice needs at least one affected code")
         return self.record_all({"event": EVENT_BREACH, "subject_code": code} for code in codes)
 
-    def _entry(self, seq: int, at: str, event: str, subject_code: str, beneficiary=None,
-               purpose=None, retention_days=None, disclosure_seq=None) -> str:
-        """The JSON text of the entry numbered seq and stamped at, after the
+    @staticmethod
+    def _check(seq: int, event: str, subject_code: str, beneficiary=None, purpose=None,
+               retention_days=None, disclosure_seq=None) -> None:
+        """Raise ValidationError unless the entry numbered seq passes the
         checks record describes."""
         if event not in EVENTS:
             raise ValidationError(f"unknown event type: {event!r}")
         if not subject_code or not isinstance(subject_code, str):
             raise ValidationError("subject_code is required")
         if event == EVENT_DISCLOSURE:
-            if not beneficiary:
+            if not beneficiary or not isinstance(beneficiary, str):
                 raise ValidationError("disclosure requires a beneficiary")
-            if not purpose:
+            if not purpose or not isinstance(purpose, str):
                 raise ValidationError("disclosure requires a purpose")
             if not valid_retention_days(retention_days):
                 raise ValidationError("disclosure requires positive retention_days")
@@ -403,17 +424,13 @@ class ComplianceLedger(LineLog):
         elif disclosure_seq is not None:
             raise ValidationError("disclosure_seq is only valid on delivery_failed entries")
 
-        if disclosure_seq is None:
-            return _ENTRY_JSON(seq, event, subject_code, beneficiary, purpose, retention_days, at)
-        return _CITING_ENTRY_JSON(seq, event, subject_code, beneficiary, purpose, retention_days,
-                                  at, disclosure_seq)
-
     def _commit(self, lines: list[str]) -> None:
-        """Write the encoded entries in one append, fsync unless turned off,
-        and advance the sequence past them; no entries write nothing."""
+        """Write the entries' lines, each ending in a newline, in one append,
+        fsync unless turned off, and advance the sequence past them; no
+        entries write nothing."""
         if not lines:
             return
-        self.append("".join([line + "\n" for line in lines]).encode())
+        self.append("".join(lines).encode())
         if self._fsync:
             self.sync()
         self._seq += len(lines)

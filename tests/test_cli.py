@@ -385,8 +385,13 @@ FIELDS = "creation_date, id, lang, location, name, username, text, country, city
      ": record 0: a city match implies its country"),
     (json.dumps(SECRET_RECORD).encode(), ": not a JSON array of records"),
     (b'[{"text": "OT secret \xff"}]', ": not valid UTF-8"),
+    (json.dumps([SECRET_RECORD, {**SECRET_RECORD, "text": None}]).encode(),
+     ": record 1: text is not a string"),
+    (json.dumps([{**SECRET_RECORD, "id": 4242424242}]).encode(), ": record 0: id is not a string"),
+    (json.dumps([{**SECRET_RECORD, "country": ["India"]}]).encode(),
+     ": record 0: country is not a string or null"),
 ], ids=["syntax", "not-an-object", "missing-field", "city-without-country", "not-an-array",
-        "not-utf8"])
+        "not-utf8", "text-null", "id-number", "country-list"])
 @pytest.mark.parametrize("command", ["analyze", "gateway"])
 def test_a_malformed_processed_file_is_named_in_the_error(tmp_path, capsys, command, content,
                                                           message):
@@ -401,6 +406,7 @@ def test_a_malformed_processed_file_is_named_in_the_error(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err == f"error: {bad}{message}\n"
     assert not any(str(value) in err for value in SECRET_RECORD.values())
+    assert not (tmp_path / "data" / "vault.jsonl").exists()  # no author was enrolled
 
 
 def test_prune_cli(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import tweetpipe.ledger
 from tweetpipe.cli import main
 from tweetpipe.clock import VirtualClock
-from tweetpipe.gateway import DirectorySink, Vault
+from tweetpipe.gateway import CategoryRules, DirectorySink, PrivacyGateway, Vault
 from tweetpipe.ledger import (
     ComplianceLedger,
     EVENT_BREACH,
@@ -24,8 +24,8 @@ from tweetpipe.ledger import (
     ValidationError,
     encode_json,
     iso_utc,
-    json_object,
 )
+from tweetpipe.processor import ProcessedTweet
 
 T0 = 1_567_888_000_000
 CODE = "a" * 32
@@ -101,6 +101,48 @@ def test_delivery_failed_must_cite_an_earlier_entry(ledger):
     assert read_entries(ledger.path)[-1]["disclosure_seq"] == 1
 
 
+DISCLOSURE = {"event": EVENT_DISCLOSURE, "subject_code": CODE, "beneficiary": "svc-food",
+              "purpose": "recommendation", "retention_days": 1}
+
+
+@pytest.mark.parametrize("bad,error", [
+    # True == 1 and 1.0 == 1, and each hashes as 1
+    ({**DISCLOSURE, "retention_days": True}, ValidationError),
+    ({**DISCLOSURE, "retention_days": 1.0}, ValidationError),
+    ({**DISCLOSURE, "subject_code": ""}, ValidationError),
+    ({**DISCLOSURE, "subject_code": 7}, ValidationError),
+    ({**DISCLOSURE, "subject_code": None}, ValidationError),
+    ({**DISCLOSURE, "beneficiary": ["svc-food"]}, ValidationError),
+    ({**DISCLOSURE, "purpose": 1}, ValidationError),
+    ({**DISCLOSURE, "consent": True}, TypeError),
+    ({k: v for k, v in DISCLOSURE.items() if k != "subject_code"}, TypeError),
+], ids=["days-true", "days-float", "code-empty", "code-int", "code-none", "beneficiary-list",
+        "purpose-int", "unknown-key", "no-code"])
+def test_a_known_entry_shape_admits_nothing_the_checks_refuse(ledger, bad, error):
+    for _ in range(2):  # on a fresh ledger, then with DISCLOSURE's shape known
+        with pytest.raises(error):
+            ledger.record_all([bad])
+        with pytest.raises(error):
+            ledger.record_all([DISCLOSURE, bad])
+        ledger.record_all([DISCLOSURE])
+    assert [e["seq"] for e in read_entries(ledger.path)] == [1, 2]
+
+
+def test_a_known_citing_shape_checks_every_cited_seq(ledger):
+    disclose(ledger)
+    failed = {"event": EVENT_DELIVERY_FAILED, "subject_code": CODE, "disclosure_seq": 1}
+    assert ledger.record_all([failed]) == [2]
+    for bad in (3, 4, 0, -1, True, 1.0, "1"):  # the next entry's seq is 3
+        with pytest.raises(ValidationError):
+            ledger.record_all([{**failed, "disclosure_seq": bad}])
+    with pytest.raises(ValidationError):
+        ledger.record_all([{**failed, "subject_code": ""}])
+    with pytest.raises(ValidationError):  # the second entry would be seq 4
+        ledger.record_all([failed, {**failed, "disclosure_seq": 4}])
+    assert ledger.record_all([failed, {**failed, "disclosure_seq": 3}]) == [3, 4]
+    assert [e.get("disclosure_seq") for e in read_entries(ledger.path)] == [None, 1, 1, 3]
+
+
 def test_a_bool_is_not_a_number_of_days_or_a_seq(ledger):
     # bool is a subclass of int; JSON would write these as true.
     with pytest.raises(ValidationError):
@@ -118,19 +160,23 @@ JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7
                     | st.characters(blacklist_categories=("Cs",)))
 
 
-@given(st.lists(st.tuples(JSON_TEXT, st.none() | st.integers() | JSON_TEXT | st.booleans()
-                          | st.floats()), unique_by=lambda item: item[0]))
-def test_json_object_writes_what_encode_json_writes(items):
-    keys = tuple(key for key, _value in items)
-    assert json_object(keys)(*(value for _key, value in items)) == encode_json(dict(items))
-
-
 @given(code=JSON_TEXT.filter(bool), beneficiary=JSON_TEXT.filter(bool),
-       purpose=JSON_TEXT.filter(bool), days=st.integers(1, 2**70), user_key=JSON_TEXT.filter(bool))
-def test_every_ledger_and_vault_line_is_what_encode_json_writes(code, beneficiary, purpose, days,
-                                                                user_key):
+       other=JSON_TEXT.filter(bool), purpose=JSON_TEXT.filter(bool), days=st.integers(1, 2**70),
+       user_key=JSON_TEXT.filter(bool), text=JSON_TEXT, lang=JSON_TEXT,
+       country=st.none() | JSON_TEXT, creation_date=JSON_TEXT)
+def test_every_ledger_and_vault_line_is_what_encode_json_writes(code, beneficiary, other, purpose,
+                                                                days, user_key, text, lang,
+                                                                country, creation_date):
+    def disclosure(to):
+        return {"event": EVENT_DISCLOSURE, "subject_code": code, "beneficiary": to,
+                "purpose": purpose, "retention_days": days}
+
     with tempfile.TemporaryDirectory() as root:
         with ComplianceLedger(os.path.join(root, "l.jsonl"), clock=VirtualClock(T0)) as led:
+            # two beneficiaries in one batch, then a failure citing one of them
+            led.record_all([disclosure(beneficiary), disclosure(other), disclosure(beneficiary)])
+            led.record_all([{"event": EVENT_DELIVERY_FAILED, "subject_code": code,
+                             "disclosure_seq": 2}])
             led.record(EVENT_DISCLOSURE, code, beneficiary=beneficiary, purpose=purpose,
                        retention_days=days)
             led.record(EVENT_DELIVERY_FAILED, code, disclosure_seq=1)
@@ -139,12 +185,25 @@ def test_every_ledger_and_vault_line_is_what_encode_json_writes(code, beneficiar
         with Vault(os.path.join(root, "v.jsonl"), clock=VirtualClock(T0)) as vault:
             vault.register(user_key)
             vault.erase(user_key)
-        for name, count in (("l.jsonl", 5), ("v.jsonl", 2)):
+        for name, count in (("l.jsonl", 9), ("v.jsonl", 2)):
             with open(os.path.join(root, name), "rb") as fh:
                 lines = fh.read().decode().split("\n")[:-1]
             assert len(lines) == count
             for line in lines:
                 assert encode_json(json.loads(line)) == line
+        entries = read_entries(os.path.join(root, "l.jsonl"))
+        assert [e.get("beneficiary") for e in entries[:4]] == [beneficiary, other, beneficiary, None]
+        assert [e.get("disclosure_seq") for e in entries] == [None] * 3 + [2, None, 1] + [None] * 3
+
+    # No identifier is registered, so the text leaves unscrubbed.
+    gw = PrivacyGateway(vault=None, ledger=None, rules=CategoryRules({}))
+    record = ProcessedTweet(creation_date, "1", lang, "Delhi", "Asha Rao", "asha_rao", text,
+                            country, None)
+    payload = {"text": text, "lang": lang, "country": country, "creation_date": creation_date}
+    for bundle in gw.pseudonymize(record, code):
+        assert bundle.payload_json == encode_json(payload)
+        assert bundle.line() == encode_json(
+            {"code": code, "category": bundle.category, "payload": payload})
 
 
 def test_record_all_checks_every_entry_before_writing_any(ledger):
