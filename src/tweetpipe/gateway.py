@@ -2,11 +2,11 @@
 
 The gateway never lets an identity cross the boundary: each user is
 replaced by a stable opaque code from a vault, payloads carry only the
-record's non-identifying INVULNERABLE_FIELDS, text is scrubbed of every
-registered identifier, and every bundle's disclosure entry is committed
-to the compliance ledger before the bundle leaves. Returned
-recommendations are re-mapped to the real user inside the boundary via
-the same vault.
+record's non-identifying fields (text, lang, country and creation_date),
+text is scrubbed of every registered identifier, and every bundle's
+disclosure entry is committed to the compliance ledger before the bundle
+leaves. Returned recommendations are re-mapped to the real user inside
+the boundary via the same vault.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .ledger import (
 from .processor import ProcessedTweet
 
 log = logging.getLogger(__name__)
-
-# Exactly these fields leave the gateway, as payload keys in this order; a
-# tuple, because a frozenset's order changes between processes. Text comes
-# first: pseudonymize scrubs it and takes the others as they are.
-INVULNERABLE_FIELDS = ("text", "lang", "country", "creation_date")
 
 CATEGORY_ECOMMERCE = "ecommerce"
 CATEGORY_DEMOGRAPHIC = "demographic_social"
@@ -76,8 +71,8 @@ class VaultError(Exception):
 
 class CategoryBundle(NamedTuple):
     """One category's copy of a pseudonymized record: the author's code
-    and the JSON object of the record's INVULNERABLE_FIELDS, which the
-    bundles of one record share."""
+    and the JSON object of the record's payload fields (see
+    PrivacyGateway.pseudonymize), which the bundles of one record share."""
 
     code: str
     category: str
@@ -135,7 +130,8 @@ class Vault(LineLog):
     for reproducible runs; an injected generator first skips one draw per
     bind in the file, so a run over a vault that a run with the same seed
     filled goes on with the stream rather than restart it on codes the
-    vault holds. One thread owns a vault; it takes no lock.
+    vault holds. One thread owns a vault, and one process writes it: its
+    first write takes LineLog's one-writer lock.
     """
 
     error = VaultError
@@ -147,6 +143,7 @@ class Vault(LineLog):
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
         binds = 0
+        self._note_state()
         for line_num, op in self._replay():
             kind, code, user_key = op.get("op"), op.get("code"), op.get("user_key")
             if kind == "bind" and isinstance(code, str) and isinstance(user_key, str):
@@ -480,13 +477,15 @@ class PrivacyGateway:
         """One bundle per matched category, identity replaced by code, the
         code register_user returned for t's author.
 
-        The payload carries only the INVULNERABLE_FIELDS, in that order;
-        the text is scrubbed of all registered identifiers. Categories are
-        decided on the original text, before scrubbing, so classification
-        never depends on who is registered.
+        The payload is the allow-list: exactly text, lang, country and
+        creation_date leave the gateway, as keys in that order, and no
+        identity field does. The text is scrubbed of all registered
+        identifiers; the others go as they are. Categories are decided on
+        the original text, before scrubbing, so classification never
+        depends on who is registered.
         """
         country = "null" if t.country is None else encode_basestring(t.country)
-        # The JSON object of the INVULNERABLE_FIELDS, in that order.
+        # What encode_json writes for the payload's dict.
         payload_json = (f'{{"text": {encode_basestring(self._scrub(t.text))}, '
                         f'"lang": {encode_basestring(t.lang)}, "country": {country}, '
                         f'"creation_date": {encode_basestring(t.creation_date)}}}')

@@ -12,6 +12,7 @@ review).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import mmap
@@ -54,17 +55,33 @@ def valid_retention_days(value) -> bool:
     return _is_count(value) and value >= 1
 
 
-# The keys of an entry dict: record's keyword arguments.
-_ENTRY_ARGS = frozenset(("event", "subject_code", "beneficiary", "purpose", "retention_days",
-                         "disclosure_seq"))
-
-
-def _entry_template(event, beneficiary, purpose, retention_days) -> tuple[str, str]:
+def _entry_template(event, beneficiary, purpose, retention_days, cites: bool) -> tuple[str, str]:
     """The constant text of one shape's entries, rendered by encode_json:
     what comes between seq and subject_code, and between subject_code and
     at. An entry's line is what encode_json writes for its dict, with the
     keys in this order: seq, event, subject_code, beneficiary, purpose,
-    retention_days, at, and disclosure_seq when it cites one."""
+    retention_days, at, and disclosure_seq when it cites one.
+
+    The shape rules raise ValidationError: only a disclosure, and every
+    disclosure, has a beneficiary and a purpose, both strings, and a
+    positive retention_days; only a delivery_failed entry, and every one,
+    cites a seq.
+    """
+    if event not in EVENTS:
+        raise ValidationError(f"unknown event type: {event!r}")
+    if event == EVENT_DISCLOSURE:
+        if not beneficiary or not isinstance(beneficiary, str):
+            raise ValidationError("disclosure requires a beneficiary")
+        if not purpose or not isinstance(purpose, str):
+            raise ValidationError("disclosure requires a purpose")
+        if not valid_retention_days(retention_days):
+            raise ValidationError("disclosure requires positive retention_days")
+    elif beneficiary is not None or purpose is not None or retention_days is not None:
+        raise ValidationError(f"{event} entries cannot carry disclosure fields")
+    if event == EVENT_DELIVERY_FAILED and not cites:
+        raise ValidationError("delivery_failed must cite an earlier entry's seq")
+    if event != EVENT_DELIVERY_FAILED and cites:
+        raise ValidationError("disclosure_seq is only valid on delivery_failed entries")
     return (f', "event": {encode_json(event)}, "subject_code": ',
             f', "beneficiary": {encode_json(beneficiary)}, "purpose": {encode_json(purpose)}, '
             f'"retention_days": {encode_json(retention_days)}, "at": ')
@@ -116,6 +133,12 @@ class LineLog:
     itself survives a power loss. The JSON subclasses store one object
     per line, and any other committed line raises the class's `error`
     with path:line on replay.
+
+    A subclass that reads state from the file (the ledger's last seq, the
+    vault's bindings) calls _note_state first. It then has one writer:
+    its first append takes an exclusive flock, held until close, and
+    refuses to write if another process holds it, or if the file's size
+    or modification time changed since the note. Other logs take no lock.
     """
 
     error: type[Exception] = ValueError
@@ -125,6 +148,27 @@ class LineLog:
         self._fh = None
         self._new_file = False  # created by this log, directory not yet fsynced
         self.torn_at: int | None = None  # committed end of the torn tail warned about
+        self._state: tuple[int, int | None] | None = None  # (size, mtime) by _note_state
+
+    def _note_state(self) -> None:
+        """Note the file's size and modification time, before reading state
+        from it; (0, None) if it does not exist."""
+        try:
+            st = os.stat(self.path)
+            self._state = st.st_size, st.st_mtime_ns
+        except FileNotFoundError:
+            self._state = 0, None
+
+    def _lock(self, fd: int) -> None:
+        """Take the one-writer lock on fd and check the file against the
+        noted state; either failure raises the class's error."""
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise self.error(f"{self.path}: in use by another process") from None
+        st, (size, mtime) = os.fstat(fd), self._state
+        if st.st_size != size or mtime not in (None, st.st_mtime_ns):
+            raise self.error(f"{self.path}: changed by another process since it was opened")
 
     def _error_at(self, line_num: int, message: str) -> Exception:
         return self.error(f"{self.path}:{line_num}: {message}")
@@ -217,7 +261,14 @@ class LineLog:
         if self._fh is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._new_file = not os.path.exists(self.path)
-            self._fh = open(self.path, "ab")
+            fh = open(self.path, "ab")
+            if self._state is not None:
+                try:
+                    self._lock(fh.fileno())
+                except BaseException:
+                    fh.close()
+                    raise
+            self._fh = fh
             self._cut_torn_tail()
         self._fh.write(lines)
 
@@ -243,8 +294,12 @@ class LineLog:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            fh, self._fh = self._fh, None
+            with fh:
+                if self._state is not None:  # what a later first append checks
+                    fh.flush()
+                    st = os.fstat(fh.fileno())
+                    self._state = st.st_size, st.st_mtime_ns
 
     def __enter__(self):
         return self
@@ -296,7 +351,8 @@ class ComplianceLedger(LineLog):
         # same second share one rendering.
         self._at_second: int | None = None
         self._at = ""
-        self._templates: dict[tuple, tuple[str, str]] = {}  # by entry shape; see record_all
+        self._templates: dict[tuple, tuple[str, str]] = {}  # by entry shape; see _entry_line
+        self._note_state()
         self._seq = self._last_seq()  # of the last entry
 
     def _last_seq(self) -> int:
@@ -316,14 +372,21 @@ class ComplianceLedger(LineLog):
         return seq
 
     def verify(self) -> int:
-        """Check the whole file: every committed line is a JSON object and
-        the seqs run gaplessly from 1. Returns the number of entries; the
-        first fault raises ValidationError with path:line."""
+        """Check the whole file: every committed line is a JSON object, the
+        seqs run gaplessly from 1, and each entry, its seq and at set
+        aside, holds only record's arguments and passes the checks record
+        makes. Returns the number of entries; the first fault raises
+        ValidationError with path:line."""
         count = 0
         for line_num, entry in self._replay():
-            if entry.get("seq") != count + 1:
-                raise self._error_at(
-                    line_num, f"sequence gap (expected {count + 1}, found {entry.get('seq')})")
+            seq = entry.pop("seq", None)
+            if type(seq) is not int or seq != count + 1:
+                raise self._error_at(line_num, f"sequence gap (expected {count + 1}, found {seq})")
+            entry.pop("at", None)
+            try:
+                self._entry_line(seq, "", **entry)
+            except (TypeError, ValidationError) as exc:
+                raise self._error_at(line_num, str(exc))
             count += 1
         return count
 
@@ -356,40 +419,11 @@ class ComplianceLedger(LineLog):
         """Append one entry per dict of record's keyword arguments; returns
         their seqs. Every entry is checked before any is written; then the
         batch goes out in one append and one fsync. The entries share one
-        `at`, so a batch never reads as going back in time.
-
-        An entry's shape is its event, beneficiary, purpose and
-        retention_days (with its type), and whether it cites a seq. The
-        first entry of each shape goes through all of record's checks, and
-        its line template is kept; later entries of a known shape check
-        only their keys, their subject_code and the seq they cite, then
-        fill the template. Anything else they hold goes through all the
-        checks again.
-        """
-        first, at = self._seq + 1, self._iso_now()
-        at_json = encode_basestring(at)
-        templates = self._templates
-        lines = []
-        for seq, fields in enumerate(entries, first):
-            days, cited, code = (fields.get("retention_days"), fields.get("disclosure_seq"),
-                                 fields.get("subject_code"))
-            shape = (fields.get("event"), fields.get("beneficiary"), fields.get("purpose"), days,
-                     type(days), cited is not None)
-            try:
-                template = templates.get(shape)
-            except TypeError:  # an unhashable field, which _check refuses
-                template = None
-            if template is None or not (
-                    code and type(code) is str and fields.keys() <= _ENTRY_ARGS
-                    and (cited is None or type(cited) is int and 0 < cited < seq)):
-                self._check(seq, **fields)
-                if template is None:
-                    template = templates[shape] = _entry_template(*shape[:4])
-            mid, rest = template
-            # int.__repr__ is how encode_json writes an int, subclasses too.
-            end = "}\n" if cited is None else f', "disclosure_seq": {int.__repr__(cited)}}}\n'
-            lines.append(f'{{"seq": {seq}{mid}{encode_basestring(code)}{rest}{at_json}{end}')
-        self._commit(lines)
+        `at`, so a batch never reads as going back in time."""
+        first = self._seq + 1
+        at_json = encode_basestring(self._iso_now())
+        self._commit([self._entry_line(seq, at_json, **fields)
+                      for seq, fields in enumerate(entries, first)])
         return list(range(first, self._seq + 1))
 
     def record_breach(self, affected_codes) -> list[int]:
@@ -400,29 +434,34 @@ class ComplianceLedger(LineLog):
             raise ValidationError("a breach notice needs at least one affected code")
         return self.record_all({"event": EVENT_BREACH, "subject_code": code} for code in codes)
 
-    @staticmethod
-    def _check(seq: int, event: str, subject_code: str, beneficiary=None, purpose=None,
-               retention_days=None, disclosure_seq=None) -> None:
-        """Raise ValidationError unless the entry numbered seq passes the
-        checks record describes."""
-        if event not in EVENTS:
-            raise ValidationError(f"unknown event type: {event!r}")
+    def _entry_line(self, seq: int, at_json: str, event: str, subject_code: str,
+                    beneficiary=None, purpose=None, retention_days=None,
+                    disclosure_seq=None) -> str:
+        """The line of the entry numbered seq, from record's arguments (an
+        unknown or missing one raises TypeError) and the JSON string of its
+        at. The entry rules run here on every entry: subject_code is a
+        non-empty string, and a cited seq is an earlier entry's. The shape
+        rules run in _entry_template, once per shape: event, beneficiary,
+        purpose and retention_days (with its type), and whether it cites."""
+        cites = disclosure_seq is not None
+        shape = (event, beneficiary, purpose, retention_days, type(retention_days), cites)
+        try:
+            template = self._templates.get(shape)
+        except TypeError:  # an unhashable field, which the shape rules refuse
+            template = None
+        if template is None:
+            template = self._templates[shape] = _entry_template(
+                event, beneficiary, purpose, retention_days, cites)
         if not subject_code or not isinstance(subject_code, str):
             raise ValidationError("subject_code is required")
-        if event == EVENT_DISCLOSURE:
-            if not beneficiary or not isinstance(beneficiary, str):
-                raise ValidationError("disclosure requires a beneficiary")
-            if not purpose or not isinstance(purpose, str):
-                raise ValidationError("disclosure requires a purpose")
-            if not valid_retention_days(retention_days):
-                raise ValidationError("disclosure requires positive retention_days")
-        elif beneficiary is not None or purpose is not None or retention_days is not None:
-            raise ValidationError(f"{event} entries cannot carry disclosure fields")
-        if event == EVENT_DELIVERY_FAILED:
-            if not _is_count(disclosure_seq) or not 1 <= disclosure_seq < seq:
+        end = "}\n"
+        if cites:
+            if not _is_count(disclosure_seq) or not 0 < disclosure_seq < seq:
                 raise ValidationError("delivery_failed must cite an earlier entry's seq")
-        elif disclosure_seq is not None:
-            raise ValidationError("disclosure_seq is only valid on delivery_failed entries")
+            # int.__repr__ is how encode_json writes an int, subclasses too.
+            end = f', "disclosure_seq": {int.__repr__(disclosure_seq)}}}\n'
+        mid, rest = template
+        return f'{{"seq": {seq}{mid}{encode_basestring(subject_code)}{rest}{at_json}{end}'
 
     def _commit(self, lines: list[str]) -> None:
         """Write the entries' lines, each ending in a newline, in one append,

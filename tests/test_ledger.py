@@ -315,6 +315,48 @@ def test_verify_rejects_corrupt_lines(tmp_path, capsys):
             assert_verify_fails(path, capsys, "1000: ")
 
 
+def test_verify_passes_what_record_writes(tmp_path):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+        led.record(EVENT_DELIVERY_FAILED, CODE, disclosure_seq=1)
+        led.record(EVENT_ERASURE, CODE)
+        led.record_breach([CODE, OTHER])
+        assert led.verify() == 5
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"event": EVENT_DISCLOSURE, "subject_code": CODE, "beneficiary": "svc-food",
+      "purpose": "recommendation", "retention_days": 0},
+     "disclosure requires positive retention_days"),
+    ({"event": EVENT_ERASURE, "subject_code": CODE, "beneficiary": "svc-food"},
+     "erasure entries cannot carry disclosure fields"),
+    ({"event": EVENT_DELIVERY_FAILED, "subject_code": CODE, "disclosure_seq": 2},
+     "delivery_failed must cite an earlier entry's seq"),
+    ({"event": "consent", "subject_code": CODE}, "unknown event type: 'consent'"),
+    ({"event": EVENT_ERASURE, "subject_code": CODE, "minor": False},
+     "got an unexpected keyword argument 'minor'"),
+    ({"event": EVENT_ERASURE}, "missing 1 required positional argument: 'subject_code'"),
+    ({"event": EVENT_BREACH, "subject_code": ""}, "subject_code is required"),
+    ({"seq": 2.0, "event": EVENT_BREACH, "subject_code": CODE},
+     "sequence gap (expected 2, found 2.0)"),
+], ids=["days-zero", "erasure-beneficiary", "cites-itself", "unknown-event", "unknown-key",
+        "no-code", "empty-code", "seq-float"])
+def test_verify_applies_the_checks_record_makes(tmp_path, capsys, bad, message):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+    at = "2019-09-07T20:26:40Z"
+    good = {"seq": 3, "event": EVENT_BREACH, "subject_code": CODE, "at": at}
+    with open(path, "a", encoding="utf-8") as fh:  # a good last entry, so the open passes
+        fh.write(json.dumps({"seq": 2, **bad, "at": at}) + "\n" + json.dumps(good) + "\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: ')}.*{re.escape(message)}$"):
+        verify(path)
+    assert main(["ledger", "--ledger", str(path), "verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.endswith(f"{message}\n")
+
+
 @pytest.mark.parametrize("middle,message", [
     ("not json", "2: corrupt line: "),
     ('{"seq": 7, "event": "erasure", "subject_code": "ab"}',
@@ -412,6 +454,44 @@ def test_torn_final_entry_is_cut_at_every_byte(tmp_path, caplog):
             assert disclose(led) == 3
         assert [(e["seq"], e["event"]) for e in read_entries(path)] == [
             (1, EVENT_DISCLOSURE), (2, EVENT_DISCLOSURE), (3, EVENT_DISCLOSURE)]
+
+
+def test_two_ledgers_on_one_path_have_one_writer(tmp_path):
+    path = tmp_path / "l.jsonl"
+    first, second, third = (ComplianceLedger(path, clock=VirtualClock(T0)) for _ in range(3))
+    assert disclose(first) == 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: in use by another process$"):
+        disclose(second)
+    first.close()
+    for stale in (second, third):  # each read the ledger before the first wrote
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: changed by another "
+                                                  "process since it was opened$"):
+            disclose(stale)
+        stale.close()
+    assert disclose(first) == 2  # what it wrote itself is no change
+    first.close()
+    assert verify(path) == 2
+
+
+def test_a_same_size_rewrite_is_caught_by_its_mtime(tmp_path):
+    # Another writer cuts the torn tail and appends an entry of the tail's
+    # length: the file has the size the stale ledger noted, but a new seq 2.
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        disclose(led)
+        disclose(led)
+    head, entry = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(head + b"x" * len(entry))
+    os.utime(path, ns=(0, 0))
+    stale = ComplianceLedger(path, clock=VirtualClock(T0))
+    assert len(stale) == 1
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as other:
+        assert disclose(other) == 2
+    assert path.read_bytes() == head + entry
+    with pytest.raises(ValidationError, match="changed by another process since it was opened$"):
+        disclose(stale)
+    stale.close()
+    assert verify(path) == 2
 
 
 def test_open_and_report_keep_no_history_in_memory(tmp_path):

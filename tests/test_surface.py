@@ -5,10 +5,10 @@ name the bench tracer wraps is still where it looks and still called
 where a traced run expects it, and the CLI has exactly the options
 listed here.
 
-A public module-level or class-level function or class that nothing in
-``src/`` or ``bench/`` refers to, by name or as an attribute, is API that
-only tests use. The allowlist names the few that are reached another way
-or kept on purpose.
+A public module-level or class-level function or class, or a public name
+a module-level assignment binds, that nothing in ``src/`` or ``bench/``
+reads, by name or as an attribute, is API that only tests use. The
+allowlist names the few that are reached another way or kept on purpose.
 """
 
 import argparse
@@ -35,7 +35,15 @@ ALLOWED = {
 
 
 def public_definitions(tree: ast.Module, module: str):
-    """module.qualname of each public def or class at module or class level."""
+    """module.qualname of each public def or class at module or class level,
+    and of each public name bound by a module-level assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and not name.id.startswith("_")):
+                        yield f"{module}.{name.id}", name.id
     pending = [(module, tree.body)]
     while pending:
         prefix, body = pending.pop()
@@ -53,7 +61,7 @@ def referenced_names(paths) -> set[str]:
     names: set[str] = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
