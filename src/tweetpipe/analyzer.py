@@ -186,7 +186,6 @@ def write_rows(path, rows) -> str:
 
 def write_csv(name: str, rows, out_dir) -> str:
     """Write one analysis as <out_dir>/<name>.csv and return the path."""
-    os.makedirs(out_dir, exist_ok=True)
     return write_rows(os.path.join(out_dir, f"{name}.csv"), rows)
 
 

@@ -286,7 +286,6 @@ def cmd_pipeline(args) -> int:
     tables = _analyze_stage(
         specs, _process_stage(gazetteer, args.data_dir, args.data_dir, processed), analysis_dir)
     print(f"process: {processed['files']} files, {processed['records']} records")
-    os.makedirs(pruned_dir, exist_ok=True)
     for name, rows, _path in tables:
         _prune_stage(rows, args.limit, ORDER_COUNT_DESC, os.path.join(pruned_dir, f"{name}.csv"))
     print(f"analyze: {len(tables)} analyses -> {analysis_dir}")

@@ -131,7 +131,7 @@ class Vault(LineLog):
     bind in the file, so a run over a vault that a run with the same seed
     filled goes on with the stream rather than restart it on codes the
     vault holds. One thread owns a vault, and one process writes it: its
-    first write takes LineLog's one-writer lock.
+    open, at its first write, takes LineLog's one-writer lock.
     """
 
     error = VaultError
@@ -393,22 +393,18 @@ class PrivacyGateway:
         self.ledger = ledger
         self.rules = rules or CategoryRules.default()
         self.retention_days = retention_days
-        # Scrub terms keyed by their folded first SCRUB_MIN_LENGTH
-        # characters; each entry holds that prefix's terms and their
-        # lengths, longest first. A new term touches one entry, and a
-        # scrub is one left-to-right pass with one slice and one dict
-        # lookup per position. The same keys, as tuples of characters,
-        # let a text that holds none of them skip the pass: one C-level
-        # set check over its SCRUB_MIN_LENGTH-grams, whose cost grows with
-        # the text, not with the users enrolled. (A regex over the keys
-        # would need recompiling on every registration. On a synthetic
-        # index of 20k distinct keys and the seed-7 feed's texts, Python
-        # 3.11 on a 2-core VM, a prefix-trie regex took 73 ms to compile
-        # and 15 µs per text just to search, a flat alternation 3 ms per
-        # text; the pass alone took 11.4 µs per text, and 7.8 µs with this
-        # check in front of it.)
-        self._scrub_index: dict[str, tuple[set[str], list[int]]] = {}
-        self._scrub_keys: set[tuple[str, ...]] = set()
+        # Scrub terms keyed by the tuple of their folded first
+        # SCRUB_MIN_LENGTH characters; each entry holds that key's terms and
+        # their lengths, longest first. A new term touches one entry. A
+        # scrub finds the keys among the text's SCRUB_MIN_LENGTH-grams in
+        # one C-level set intersection, whose cost grows with the text, not
+        # with the users enrolled, and tries terms only where a found key
+        # starts. (A regex over the keys would need recompiling on every
+        # registration. On a synthetic index of 20k distinct keys and the
+        # seed-7 feed's texts, Python 3.11 on a 2-core VM, a prefix-trie
+        # regex took 73 ms to compile and 15 µs per text just to search, a
+        # flat alternation 3 ms per text.)
+        self._scrub_index: dict[tuple[str, ...], tuple[set[str], list[int]]] = {}
 
     def _scrub(self, text: str) -> str:
         """Replace every registered identifier occurrence with ***.
@@ -419,32 +415,35 @@ class PrivacyGateway:
         replacement.
         """
         index = self._scrub_index
-        if not index:
-            return text
         lowered = _fold(text)
-        # The text's runs of SCRUB_MIN_LENGTH (4) characters.
-        if self._scrub_keys.isdisjoint(zip(lowered, lowered[1:], lowered[2:], lowered[3:])):
+        # The keys among the text's runs of SCRUB_MIN_LENGTH (4) characters.
+        found = index.keys() & zip(lowered, lowered[1:], lowered[2:], lowered[3:])
+        if not found:
             return text
+        # Every start of a found key, overlaps included, with its entry.
+        # Two keys never start at one position, so the sort compares
+        # positions only.
+        starts = []
+        for key in found:
+            needle, entry = "".join(key), index[key]
+            i = lowered.find(needle)
+            while i >= 0:
+                starts.append((i, entry))
+                i = lowered.find(needle, i + 1)
+        starts.sort()
         out: list[str] = []
-        kept = 0  # text[kept:i] has been scanned and holds no term
-        i = 0
-        last = len(lowered) - SCRUB_MIN_LENGTH
-        while i <= last:
-            entry = index.get(lowered[i:i + SCRUB_MIN_LENGTH])
-            if entry is not None:
-                terms, lengths = entry
-                # Near the end a slice comes out shorter than asked; it
-                # then matches only a term of exactly that shorter length.
-                for length in lengths:
-                    if lowered[i:i + length] in terms:
-                        out.append(text[kept:i])
-                        out.append(SCRUB_REPLACEMENT)
-                        i = kept = i + length
-                        break
-                else:
-                    i += 1
-            else:
-                i += 1
+        kept = 0  # text[:kept] is done; a start before it was replaced
+        for i, (terms, lengths) in starts:
+            if i < kept:
+                continue
+            # Near the end a slice comes out shorter than asked; it then
+            # matches only a term of exactly that shorter length.
+            for length in lengths:
+                if lowered[i:i + length] in terms:
+                    out.append(text[kept:i])
+                    out.append(SCRUB_REPLACEMENT)
+                    kept = i + length
+                    break
         out.append(text[kept:])
         return "".join(out)
 
@@ -460,11 +459,10 @@ class PrivacyGateway:
         terms = tuple(_fold(i) for i in identifiers if len(i) >= SCRUB_MIN_LENGTH)
         code = self.vault.register(user_key, avoid=terms)
         for term in terms:
-            key = term[:SCRUB_MIN_LENGTH]
+            key = tuple(term[:SCRUB_MIN_LENGTH])
             entry = self._scrub_index.get(key)
             if entry is None:
                 entry = self._scrub_index[key] = (set(), [])
-                self._scrub_keys.add(tuple(key))
             known, lengths = entry
             if term not in known:
                 known.add(term)
@@ -493,15 +491,19 @@ class PrivacyGateway:
                 for category in self.rules.categories_for(t.text)]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
-        """Enrol every author, fsync the vault, then pseudonymize and
-        dispatch the records in groups of DISPATCH_GROUP; returns the
-        bundle count.
+        """Open the ledger, enrol every author, fsync the vault, then
+        pseudonymize and dispatch the records in groups of DISPATCH_GROUP;
+        returns the bundle count.
 
+        The ledger is opened first, when there are records, so a ledger
+        another process holds refuses the run before it binds anyone.
         Every author is enrolled before the first bundle leaves, so a
         mention of a user whose own tweet comes later in the feed is
         scrubbed too, and the new bindings are on disk before any
         disclosure cites them.
         """
+        if records:
+            self.ledger.open()
         codes = [self.register_user(user_key_for(t.username, t.id), (t.username, t.name, t.id))
                  for t in records]
         self.vault.sync()

@@ -120,11 +120,11 @@ def iso_utc(ts_ms: int) -> str:
 
 
 class LineLog:
-    """Append-only file of lines, opened on the first append.
+    """Append-only file of lines, opened by open() or the first append.
 
     The newline commits a line. A final line without one is torn: a read
-    skips it, and the first append finds the end of the last committed
-    line from the file's tail and cuts the file back to it. Either logs
+    skips it, and the open finds the end of the last committed line
+    from the file's tail and cuts the file back to it. Either logs
     one warning per torn tail, giving path and byte offset but no
     content; a read-only user changes nothing. Appends take whole lines
     and are flushed; a subclass may also write lines that wait in the
@@ -136,9 +136,9 @@ class LineLog:
 
     A subclass that reads state from the file (the ledger's last seq, the
     vault's bindings) calls _note_state first. It then has one writer:
-    its first append takes an exclusive flock, held until close, and
-    refuses to write if another process holds it, or if the file's size
-    or modification time changed since the note. Other logs take no lock.
+    its open takes an exclusive flock, held until close, and refuses to
+    write if another process holds it, or if the file's size or
+    modification time changed since the note. Other logs take no lock.
     """
 
     error: type[Exception] = ValueError
@@ -255,21 +255,30 @@ class LineLog:
                 offset -= len(block)
         return line_num
 
+    def open(self) -> None:
+        """Open the file for appending, unless it is open: create its
+        directory, take the one-writer lock of a log that noted its state,
+        and cut a torn tail. The first write opens it; a caller opens it
+        earlier to be refused before it does other work."""
+        if self._fh is not None:
+            return
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        self._new_file = not os.path.exists(self.path)
+        fh = open(self.path, "ab")
+        if self._state is not None:
+            try:
+                self._lock(fh.fileno())
+            except BaseException:
+                fh.close()
+                raise
+        self._fh = fh
+        self._cut_torn_tail()
+
     def _write(self, lines: bytes) -> None:
         """Write whole lines, each ending in a newline, to the file's buffer;
         they reach the file when it fills, or at the next flush."""
         if self._fh is None:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            self._new_file = not os.path.exists(self.path)
-            fh = open(self.path, "ab")
-            if self._state is not None:
-                try:
-                    self._lock(fh.fileno())
-                except BaseException:
-                    fh.close()
-                    raise
-            self._fh = fh
-            self._cut_torn_tail()
+            self.open()
         self._fh.write(lines)
 
     def append(self, lines: bytes) -> None:
@@ -296,7 +305,7 @@ class LineLog:
         if self._fh is not None:
             fh, self._fh = self._fh, None
             with fh:
-                if self._state is not None:  # what a later first append checks
+                if self._state is not None:  # what a later open checks
                     fh.flush()
                     st = os.fstat(fh.fileno())
                     self._state = st.st_size, st.st_mtime_ns
@@ -312,12 +321,14 @@ class LineLog:
 def replaced_text(path, newline: str):
     """A UTF-8 text handle whose contents replace the file at path.
 
-    The text goes to path + ".tmp" in the same directory, which
-    os.replace then moves over path when the block ends, so a reader
-    sees the old file or the whole new one, never one cut short. On an
-    error the temporary file is removed and path is left as it was.
+    The text goes to path + ".tmp" in the same directory, created if
+    missing, which os.replace then moves over path when the block ends,
+    so a reader sees the old file or the whole new one, never one cut
+    short. On an error the temporary file is removed and path is left as
+    it was.
     """
     tmp = f"{path}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
@@ -347,10 +358,6 @@ class ComplianceLedger(LineLog):
         super().__init__(path)
         self._clock = clock or SystemClock()
         self._fsync = fsync
-        # iso_utc has one-second resolution, so entries written within the
-        # same second share one rendering.
-        self._at_second: int | None = None
-        self._at = ""
         self._templates: dict[tuple, tuple[str, str]] = {}  # by entry shape; see _entry_line
         self._note_state()
         self._seq = self._last_seq()  # of the last entry
@@ -421,7 +428,7 @@ class ComplianceLedger(LineLog):
         batch goes out in one append and one fsync. The entries share one
         `at`, so a batch never reads as going back in time."""
         first = self._seq + 1
-        at_json = encode_basestring(self._iso_now())
+        at_json = encode_basestring(iso_utc(self._clock.now_ms()))
         self._commit([self._entry_line(seq, at_json, **fields)
                       for seq, fields in enumerate(entries, first)])
         return list(range(first, self._seq + 1))
@@ -473,13 +480,6 @@ class ComplianceLedger(LineLog):
         if self._fsync:
             self.sync()
         self._seq += len(lines)
-
-    def _iso_now(self) -> str:
-        second = self._clock.now_ms() // 1000
-        if second != self._at_second:
-            self._at_second = second
-            self._at = iso_utc(second * 1000)
-        return self._at
 
     def transparency_report(self, code: str) -> str:
         """Human-readable account of everything logged about a code.

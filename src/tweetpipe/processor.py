@@ -236,7 +236,6 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
         skipped += 1
 
     out_path = processed_file_path(crawl_loc, root=out_root)
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with replaced_text(out_path, newline="\n") as fh:
         write_processed(records, fh)
     log.info("processed %s: %d records, %d skipped -> %s",

@@ -423,6 +423,16 @@ def test_prune_cli(tmp_path):
     assert out_csv.read_text(encoding="utf-8") == "key,count\nb,9\na,5\n"
 
 
+def test_prune_cli_creates_the_out_directory(tmp_path, capsys):
+    in_csv = tmp_path / "in.csv"
+    in_csv.write_text("key,count\na,5\nb,9\n", encoding="utf-8")
+    out_csv = tmp_path / "new" / "deeper" / "x.csv"
+    assert main(["prune", "--in", str(in_csv), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out_csv.read_text(encoding="utf-8") == "key,count\nb,9\na,5\n"
+    assert os.listdir(out_csv.parent) == ["x.csv"]
+
+
 def test_gateway_cli_is_deterministic_with_seed(tmp_path, capsys):
     in_file = tmp_path / "in.json"
     write_processed(in_file)
@@ -610,6 +620,8 @@ def test_a_held_ledger_or_vault_refuses_a_second_writer(tmp_path, capsys, held):
         assert main(gateway) == 1
         assert capsys.readouterr().err == in_use
         if held == "ledger":
+            # refused before it enrolled anyone
+            assert not (data / "vault.jsonl").exists()
             assert main(["--data-dir", str(data), "ledger", "breach", "--codes", "cd" * 16]) == 1
             assert capsys.readouterr().err == in_use
             # a report takes no lock

@@ -534,6 +534,20 @@ def test_scrub_matches_brute_force_as_terms_are_added(data):
             assert gw._scrub(text) == reference_scrub(registered, text)
 
 
+@pytest.mark.parametrize("terms,text,expected", [
+    (["aaaa"], "aaaaaa", "***aa"),  # overlapping starts of one key
+    (["abab", "baba_x"], "ababa_x", "***a_x"),  # a replacement consumes baba's start
+    (["abcdefg"], "xx abcd", "xx abcd"),  # the key ends the text, its term is longer
+    (["abcdefg", "abcd"], "xx abcd", "xx ***"),  # ... and a shorter term fits there
+    (["nightowl"], "good night", "good night"),  # no term completes the key
+    (["Bena_K"], "Hi BENA_k!", "Hi ***!"),  # case-folded
+])
+def test_scrub_tries_terms_where_a_key_starts(terms, text, expected):
+    gw = PrivacyGateway(vault=KeyVault(), ledger=None, rules=CategoryRules({}))
+    gw.register_user("user:1", identifiers=terms)
+    assert gw._scrub(text) == reference_scrub(terms, text) == expected
+
+
 # ---------------------------------------------------------------- dispatch
 
 

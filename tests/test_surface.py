@@ -1,4 +1,5 @@
 """Every public def and class in the package has a caller outside the tests,
+every private one and every private attribute stored on self has a reader,
 only the line log appends to files, only ``ledger.py`` opens a file for
 writing, only the entry reader splits ``name: value`` lines, every
 name the bench tracer wraps is still where it looks and still called
@@ -57,20 +58,21 @@ def public_definitions(tree: ast.Module, module: str):
                 pending.append((qualname, node.body))
 
 
-def referenced_names(paths) -> set[str]:
+def read_names(paths) -> set[str]:
+    """Every name and attribute that the sources read; a store is no read."""
     names: set[str] = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
 
 def test_no_public_api_is_used_only_by_tests():
     sources = sorted(PACKAGE.glob("*.py"))
-    used = referenced_names(sources + sorted((ROOT / "bench").glob("*.py")))
+    used = read_names(sources + sorted((ROOT / "bench").glob("*.py")))
     defined = {
         qualname: name
         for path in sources
@@ -80,6 +82,49 @@ def test_no_public_api_is_used_only_by_tests():
     assert set(ALLOWED) <= set(defined), "allowlist names a definition that is gone"
     unused = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
     assert unused == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree: ast.Module, module: str):
+    """module.qualname of each private def, class or assigned name at module
+    or class level, and module.self.name of each private attribute that a
+    method stores on self."""
+    pending = [(module, tree.body)]
+    while pending:
+        prefix, body = pending.pop()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    pending.append((f"{prefix}.{node.name}", node.body))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            for name in names:
+                if is_private(name):
+                    yield f"{prefix}.{name}", name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and is_private(node.attr)):
+            yield f"{module}.self.{node.attr}", node.attr
+
+
+def test_no_private_name_or_attribute_is_left_unread():
+    # A leftover helper, cache or index that the code stopped reading.
+    sources = sorted(PACKAGE.glob("*.py"))
+    read = read_names(sources + sorted((ROOT / "bench").glob("*.py")))
+    unread = sorted({qualname for path in sources
+                     for qualname, name in private_definitions(
+                         ast.parse(path.read_text(encoding="utf-8")), path.stem)
+                     if name not in read})
+    assert unread == []
 
 
 APPEND_MODE = re.compile(r"[rwxbt+]*a[rwxbt+]*")
