@@ -175,7 +175,8 @@ class HourlyRecordWriter:
     Each hour-file is a LineLog: a page goes out as one write of whole
     lines, flushed before write_page returns, and rollover happens between
     pages only. A crash mid-write can still leave a torn last line; a
-    crawl resumed into that hour cuts it, and process_file skips it.
+    crawl resumed into that hour cuts it, and process_file skips it. An
+    hour-file that another process writes refuses the page.
     """
 
     def __init__(self, out_dir: str = "./data"):

@@ -223,8 +223,6 @@ class FirehoseEngine:
         self._token_counter = 0
         self._token_salt = f"{seed}:"
         self._lock = threading.Lock()
-        self.requests_served = 0
-        self.tweets_generated = 0
 
     def _check_auth(self, creds: Credentials) -> None:
         if creds != Credentials():
@@ -240,7 +238,6 @@ class FirehoseEngine:
     def _generate(self, n: int, now_ms: int) -> None:
         for _ in range(n):
             self._stream.append(self._factory.make(now_ms))
-        self.tweets_generated += n
 
     def _trim(self, now_ms: int) -> None:
         """Drop expired cursors, then every tweet before the lowest live
@@ -305,7 +302,6 @@ class FirehoseEngine:
             page = self._stream[offset : offset + count]
             token = self._issue_token(start + len(page), now_ms)
             self._trim(now_ms)
-            self.requests_served += 1
             return ApiPage(
                 tweets=page,
                 next_token=token,

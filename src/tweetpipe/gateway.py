@@ -96,7 +96,6 @@ class Recommendation:
 class ErasureReport:
     user_key: str
     code: str
-    ledger_seq: int
 
 
 def _fold(text: str) -> str:
@@ -143,7 +142,6 @@ class Vault(LineLog):
         self._by_key: dict[str, str] = {}
         self._by_code: dict[str, str] = {}
         binds = 0
-        self._note_state()
         for line_num, op in self._replay():
             kind, code, user_key = op.get("op"), op.get("code"), op.get("user_key")
             if kind == "bind" and isinstance(code, str) and isinstance(user_key, str):
@@ -359,18 +357,25 @@ class ServiceRegistry:
         """Parse "category: sink-directory-or-URL" lines (see read_entries).
 
         http(s) targets become HTTP sinks; anything else is a directory,
-        resolved against base_dir when relative. The target string as
-        written becomes the beneficiary name in ledger entries.
+        resolved against base_dir when relative. Categories whose targets
+        resolve to one directory share one sink, the one writer of its
+        file. The target string as written becomes the beneficiary name in
+        ledger entries.
         """
         form = "category: sink"
         registry = cls()
+        sinks: dict[str, DirectorySink] = {}  # by the directory's real path
         for line_num, category, target in read_entries(path, form, CATEGORIES):
             if not target:
                 raise ParseError(path, line_num, f"expected '{form}'")
             if target.startswith(("http://", "https://")):
                 sink: object = HttpSink(target)
             else:
-                sink = DirectorySink(os.path.join(base_dir, target))
+                directory = os.path.join(base_dir, target)
+                key = os.path.realpath(directory)
+                if key not in sinks:
+                    sinks[key] = DirectorySink(directory)
+                sink = sinks[key]
             registry.add(category, sink, target)
         return registry
 
@@ -565,6 +570,6 @@ class PrivacyGateway:
     def erase_user(self, user_key: str) -> ErasureReport:
         """Forget the user: tombstone the vault binding, log the erasure."""
         code = self.vault.erase(user_key)
-        seq = self.ledger.record(EVENT_ERASURE, subject_code=code)
+        self.ledger.record(EVENT_ERASURE, subject_code=code)
         log.info("erased binding for code %s", code)
-        return ErasureReport(user_key=user_key, code=code, ledger_seq=seq)
+        return ErasureReport(user_key=user_key, code=code)

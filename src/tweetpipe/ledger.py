@@ -134,11 +134,11 @@ class LineLog:
     per line, and any other committed line raises the class's `error`
     with path:line on replay.
 
-    A subclass that reads state from the file (the ledger's last seq, the
-    vault's bindings) calls _note_state first. It then has one writer:
-    its open takes an exclusive flock, held until close, and refuses to
-    write if another process holds it, or if the file's size or
-    modification time changed since the note. Other logs take no lock.
+    Every log has one writer. It notes the file's size and modification
+    time when it is made, before a subclass reads state from the file
+    (the ledger's last seq, the vault's bindings); its open takes an
+    exclusive flock, held until close, and refuses to write if another
+    process holds it, or if the file changed since the note.
     """
 
     error: type[Exception] = ValueError
@@ -148,12 +148,7 @@ class LineLog:
         self._fh = None
         self._new_file = False  # created by this log, directory not yet fsynced
         self.torn_at: int | None = None  # committed end of the torn tail warned about
-        self._state: tuple[int, int | None] | None = None  # (size, mtime) by _note_state
-
-    def _note_state(self) -> None:
-        """Note the file's size and modification time, before reading state
-        from it; (0, None) if it does not exist."""
-        try:
+        try:  # (size, mtime) that the open checks; (0, None) for no file
             st = os.stat(self.path)
             self._state = st.st_size, st.st_mtime_ns
         except FileNotFoundError:
@@ -257,20 +252,19 @@ class LineLog:
 
     def open(self) -> None:
         """Open the file for appending, unless it is open: create its
-        directory, take the one-writer lock of a log that noted its state,
-        and cut a torn tail. The first write opens it; a caller opens it
-        earlier to be refused before it does other work."""
+        directory, take the one-writer lock, and cut a torn tail. The
+        first write opens it; a caller opens it earlier to be refused
+        before it does other work."""
         if self._fh is not None:
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self._new_file = not os.path.exists(self.path)
         fh = open(self.path, "ab")
-        if self._state is not None:
-            try:
-                self._lock(fh.fileno())
-            except BaseException:
-                fh.close()
-                raise
+        try:
+            self._lock(fh.fileno())
+        except BaseException:
+            fh.close()
+            raise
         self._fh = fh
         self._cut_torn_tail()
 
@@ -294,21 +288,16 @@ class LineLog:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         if self._new_file:
-            fd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            _fsync_directory_of(self.path)
             self._new_file = False
 
     def close(self) -> None:
         if self._fh is not None:
             fh, self._fh = self._fh, None
-            with fh:
-                if self._state is not None:  # what a later open checks
-                    fh.flush()
-                    st = os.fstat(fh.fileno())
-                    self._state = st.st_size, st.st_mtime_ns
+            with fh:  # note what a later open checks
+                fh.flush()
+                st = os.fstat(fh.fileno())
+                self._state = st.st_size, st.st_mtime_ns
 
     def __enter__(self):
         return self
@@ -317,22 +306,36 @@ class LineLog:
         self.close()
 
 
+def _fsync_directory_of(path: str) -> None:
+    """fsync the directory that holds path, so that the name survives a
+    power loss as well as the file's contents."""
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @contextmanager
 def replaced_text(path, newline: str):
     """A UTF-8 text handle whose contents replace the file at path.
 
     The text goes to path + ".tmp" in the same directory, created if
-    missing, which os.replace then moves over path when the block ends,
-    so a reader sees the old file or the whole new one, never one cut
-    short. On an error the temporary file is removed and path is left as
-    it was.
+    missing. When the block ends it is flushed and fsynced, os.replace
+    moves it over path, and the directory is fsynced, so a reader, after
+    a crash or a power loss too, sees the old file or the whole new one,
+    never one cut short. On an error the temporary file is removed and
+    path is left as it was.
     """
     tmp = f"{path}.tmp"
     os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        _fsync_directory_of(tmp)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)
@@ -359,7 +362,6 @@ class ComplianceLedger(LineLog):
         self._clock = clock or SystemClock()
         self._fsync = fsync
         self._templates: dict[tuple, tuple[str, str]] = {}  # by entry shape; see _entry_line
-        self._note_state()
         self._seq = self._last_seq()  # of the last entry
 
     def _last_seq(self) -> int:
@@ -488,17 +490,21 @@ class ComplianceLedger(LineLog):
         so a ledger without them reports as it always did.
         """
         found: dict[str, list[str]] = {event: [] for event in EVENTS}
-        for _line_num, e in self._replay(json.dumps(code, ensure_ascii=False).encode()):
-            if e["subject_code"] != code or e["event"] not in found:
-                continue
-            if e["event"] == EVENT_DISCLOSURE:
-                what = (f"shared with {e['beneficiary']} for {e['purpose']}, "
-                        f"retention {e['retention_days']} days")
-            elif e["event"] == EVENT_DELIVERY_FAILED:
-                what = f"delivery of entry {e['disclosure_seq']} failed"
-            else:
-                what = "binding erased" if e["event"] == EVENT_ERASURE else "breach notification"
-            found[e["event"]].append(f"  - {e['at']}: {what} (entry {e['seq']})")
+        for line_num, e in self._replay(json.dumps(code, ensure_ascii=False).encode()):
+            try:
+                if e["subject_code"] != code or e["event"] not in found:
+                    continue
+                if e["event"] == EVENT_DISCLOSURE:
+                    what = (f"shared with {e['beneficiary']} for {e['purpose']}, "
+                            f"retention {e['retention_days']} days")
+                elif e["event"] == EVENT_DELIVERY_FAILED:
+                    what = f"delivery of entry {e['disclosure_seq']} failed"
+                else:
+                    what = ("binding erased" if e["event"] == EVENT_ERASURE
+                            else "breach notification")
+                found[e["event"]].append(f"  - {e['at']}: {what} (entry {e['seq']})")
+            except KeyError as exc:
+                raise self._error_at(line_num, f"entry has no {exc.args[0]!r} field") from None
         lines = [f"Transparency report for {code}"]
         for title, event in (("Disclosures", EVENT_DISCLOSURE),
                              ("Failed deliveries", EVENT_DELIVERY_FAILED),

@@ -14,7 +14,9 @@ import pytest
 import tweetpipe.cli
 from tweetpipe.analyzer import BUILTIN_SPECS, analyze, load_regex_specs, sort_rows, write_csv
 from tweetpipe.cli import main, parse_bool, parse_duration_ms
+from tweetpipe.firehose import FirehoseEngine
 from tweetpipe.gateway import CATEGORIES
+from tweetpipe.mockserver import MockFirehoseServer
 from tweetpipe.processor import ProcessedTweet, read_processed_file
 
 
@@ -635,6 +637,75 @@ def test_a_held_ledger_or_vault_refuses_a_second_writer(tmp_path, capsys, held):
     assert main(gateway) == 0
     assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
     assert capsys.readouterr().out.endswith(f"entries={entries + 3}\n")
+
+
+# Appends one line to a line file, says so, and keeps the file open until
+# its stdin closes.
+LINE_HOLDER = """
+import sys
+from tweetpipe.ledger import LineLog
+
+log = LineLog(sys.argv[1])
+log.append(b"held\\n")
+print("holding", flush=True)
+sys.stdin.read()
+log.close()
+"""
+
+
+def hold_line_file(path) -> subprocess.Popen:
+    """A process that holds path as LineLog's one writer until its stdin
+    closes; leaving its block closes stdin and waits for it to exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    holder = subprocess.Popen([sys.executable, "-c", LINE_HOLDER, str(path)], env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert holder.stdout.readline() == "holding\n"
+    return holder
+
+
+def test_a_held_sink_file_refuses_a_second_writer(tmp_path, capsys):
+    in_file = tmp_path / "in.json"
+    write_processed(in_file)  # three records, all demographic_social
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    out, data = tmp_path / "out", tmp_path / "data"
+    sink = out / "sinks" / "demographic_social" / "bundles.jsonl"
+    # Another process, such as a gateway with its own --data-dir, writes
+    # the sink file this gateway's --out shares.
+    gateway = ["--data-dir", str(data), "gateway", "--in", str(in_file),
+               "--registry", str(registry), "--out", str(out)]
+    with hold_line_file(sink) as holder:
+        assert main(gateway) == 1
+        assert capsys.readouterr().err == f"error: {sink}: in use by another process\n"
+    assert holder.returncode == 0
+    assert sink.read_bytes() == b"held\n"
+    # Refused at its first delivery: the group's disclosures stand, each
+    # with a delivery_failed entry.
+    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
+    assert capsys.readouterr().out == "entries=6\n"
+    events = [json.loads(line)["event"] for line in (data / "ledger.jsonl").read_text(
+        encoding="utf-8").splitlines()]
+    assert events == ["disclosure"] * 3 + ["delivery_failed"] * 3
+    # The lock went with its holder.
+    assert main(gateway) == 0
+    assert len(sink.read_bytes().splitlines()) == 4
+
+
+def test_a_held_crawl_file_refuses_a_second_crawl(tmp_path, capsys):
+    out = tmp_path / "out"
+    hour_file = out / "01-01-1970" / "tweets-00 AM.txt"
+    with MockFirehoseServer(FirehoseEngine(seed=42)) as server:
+        crawl = ["--virtual-clock", "0", "crawl", "--endpoint", server.url,
+                 "--out", str(out), "--max-requests", "1"]
+        with hold_line_file(hour_file) as holder:
+            assert main(crawl) == 1
+            assert capsys.readouterr().err == f"error: {hour_file}: in use by another process\n"
+        assert holder.returncode == 0
+        assert hour_file.read_bytes() == b"held\n"
+        assert [p.name for p in out.rglob("*") if p.is_file()] == [hour_file.name]
+        # The lock went with its holder.
+        assert main(crawl) == 0
+    assert len(hour_file.read_bytes().splitlines()) > 1
 
 
 # tree_digest of a seeded gateway run over a seed-7 one-minute pipeline

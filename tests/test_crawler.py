@@ -37,7 +37,7 @@ from tweetpipe.firehose import (
     RateWindow,
     RawTweet,
 )
-from tweetpipe.mockserver import MockFirehoseServer
+from tweetpipe.mockserver import MockFirehoseServer, _Handler
 
 T0 = 1_567_888_000_000
 
@@ -537,13 +537,21 @@ def counted_mock(monkeypatch):
         yield server, accepted
 
 
-def test_run_crawl_reuses_one_connection(counted_mock, tmp_path):
+def test_run_crawl_reuses_one_connection(counted_mock, tmp_path, monkeypatch):
     server, accepted = counted_mock
+    gets = []
+    do_get = _Handler.do_GET
+
+    def counting(handler):
+        gets.append(handler.path)
+        do_get(handler)
+
+    monkeypatch.setattr(_Handler, "do_GET", counting)
     cfg = CrawlConfig(endpoint=server.url, out_dir=str(tmp_path), max_requests=20)
     stats = run_crawl(cfg, clock=VirtualClock(T0))
     assert stats.requests == 20
     assert stats.tweets_seen == 2000
-    assert server.engine.requests_served == 20
+    assert len(gets) == 20
     assert len(accepted) == 1
 
 

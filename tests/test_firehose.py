@@ -239,7 +239,7 @@ def test_window_stays_bounded_while_following_tokens():
                            now_ms=T0 + spacing_ms * k).next_token
         assert len(eng._stream) <= max_tweets
         assert len(eng._cursors) <= max_cursors
-    assert eng.tweets_generated == 500 * MAX_PAGE_SIZE
+    assert eng._base + len(eng._stream) == 500 * MAX_PAGE_SIZE  # every tweet made
 
 
 # ------------------------------------------------------------- HTTP facade

@@ -24,6 +24,7 @@ from tweetpipe.ledger import (
     ValidationError,
     encode_json,
     iso_utc,
+    replaced_text,
 )
 from tweetpipe.processor import ProcessedTweet
 
@@ -693,6 +694,38 @@ def test_a_new_file_gets_one_directory_fsync(tmp_path, monkeypatch):
         os.remove(path)
 
 
+def test_a_replaced_file_is_fsynced_before_its_rename_and_its_directory_after(
+        tmp_path, monkeypatch):
+    real_os = tweetpipe.ledger.os
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(real_os, name)
+
+        def fsync(self, fd):
+            info = real_os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                assert real_os.path.samestat(info, real_os.stat(tmp_path / "out"))
+                calls.append("fsync directory")
+            else:
+                calls.append(f"fsync file of {info.st_size} bytes")
+            real_os.fsync(fd)
+
+        def replace(self, src, dst):
+            calls.append("replace")
+            real_os.replace(src, dst)
+
+    monkeypatch.setattr(tweetpipe.ledger, "os", Spy())
+    path = tmp_path / "out" / "table.csv"
+    with replaced_text(path, newline="") as fh:
+        fh.write("key,count\r\n")
+        assert calls == []
+    assert calls == ["fsync file of 11 bytes", "replace", "fsync directory"]
+    assert path.read_bytes() == b"key,count\r\n"
+    assert os.listdir(tmp_path / "out") == ["table.csv"]
+
+
 # ----------------------------------------------------------------- report
 
 
@@ -742,6 +775,25 @@ def test_report_matches_raw_file_contents(tmp_path):
         assert f"retention {entry['retention_days']} days" in report
     # disclosures appear in ledger order
     assert report.index("svc-a") < report.index("svc-b")
+
+
+@pytest.mark.parametrize("field", ["seq", "event", "subject_code", "at"])
+def test_report_names_the_line_of_an_entry_it_cannot_read(tmp_path, capsys, field):
+    path = tmp_path / "l.jsonl"
+    with ComplianceLedger(path, clock=VirtualClock(T0)) as led:
+        led.record(EVENT_ERASURE, CODE)
+        led.record(EVENT_ERASURE, CODE)
+    first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    entry = json.loads(first)
+    del entry[field]
+    entry["note"] = CODE  # the line still holds the code
+    path.write_text(json.dumps(entry) + "\n" + second, encoding="utf-8")
+    message = f"{path}:1: entry has no {field!r} field"
+    with ComplianceLedger(path) as led:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            led.transparency_report(CODE)
+    assert main(["ledger", "--ledger", str(path), "report", "--code", CODE]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_entries_in_one_second_share_its_timestamp(tmp_path):

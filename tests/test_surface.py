@@ -1,15 +1,17 @@
-"""Every public def and class in the package has a caller outside the tests,
-every private one and every private attribute stored on self has a reader,
+"""Every public def, class, field and attribute stored on self in the package
+has a reader outside the tests, every private one has a reader,
 only the line log appends to files, only ``ledger.py`` opens a file for
 writing, only the entry reader splits ``name: value`` lines, every
 name the bench tracer wraps is still where it looks and still called
 where a traced run expects it, and the CLI has exactly the options
 listed here.
 
-A public module-level or class-level function or class, or a public name
-a module-level assignment binds, that nothing in ``src/`` or ``bench/``
-reads, by name or as an attribute, is API that only tests use. The
-allowlist names the few that are reached another way or kept on purpose.
+A public module-level or class-level function or class, a public name a
+module-level or class-level assignment binds (a dataclass field, say), or
+a public attribute a method stores on self, that nothing in ``src/`` or
+``bench/`` reads, by name or as an attribute, is API that only tests use,
+or state that nothing uses. The allowlist names the few that are reached
+another way or kept on purpose.
 """
 
 import argparse
@@ -32,19 +34,40 @@ PACKAGE = ROOT / "src" / "tweetpipe"
 ALLOWED = {
     "mockserver._Handler.do_GET": "http.server dispatches GET requests to it by name",
     "mockserver._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
+    "mockserver._Handler.protocol_version": "http.server reads it to keep connections alive",
+    "mockserver._Handler.disable_nagle_algorithm": "http.server reads it on each connection",
+    "crawler.CrawlStats.rate_limit_waits": "crawl prints every field, through vars(stats)",
 }
+
+
+def assigned_names(body):
+    """Each name an assignment statement in body binds."""
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id
+
+
+def self_stores(cls: ast.ClassDef):
+    """Each attribute name that a method of cls stores on self."""
+    for method in cls.body:
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    yield node.attr
 
 
 def public_definitions(tree: ast.Module, module: str):
     """module.qualname of each public def or class at module or class level,
-    and of each public name bound by a module-level assignment."""
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                for name in ast.walk(target):
-                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
-                            and not name.id.startswith("_")):
-                        yield f"{module}.{name.id}", name.id
+    of each public name bound by an assignment at module or class level,
+    and of each public attribute that a method stores on self (as
+    module.Class.name)."""
+    for name in assigned_names(tree.body):
+        if not name.startswith("_"):
+            yield f"{module}.{name}", name
     pending = [(module, tree.body)]
     while pending:
         prefix, body = pending.pop()
@@ -56,6 +79,9 @@ def public_definitions(tree: ast.Module, module: str):
                 yield qualname, node.name
             if isinstance(node, ast.ClassDef):
                 pending.append((qualname, node.body))
+                for name in {*assigned_names(node.body), *self_stores(node)}:
+                    if not name.startswith("_"):
+                        yield f"{qualname}.{name}", name
 
 
 def read_names(paths) -> set[str]:
