@@ -72,6 +72,24 @@ def sanitize_field(raw: str) -> str:
             .replace(DELIMITER, "<8 >").strip())
 
 
+def clean_line(values: tuple[str, ...]) -> str | None:
+    """The line for seven raw field values, if sanitize_field would leave
+    every one of them as it is; None if it would change any.
+
+    The values are joined once and the line checked once: no line break,
+    exactly six delimiters (no value holds one, as encode_record's checks
+    explain), and no value with whitespace that str.strip removes at
+    either end, tabs and other separators as well as spaces. Such a line
+    also passes encode_record's checks on the delimiter, line breaks and
+    spaces. Raises TypeError if a value is not a string.
+    """
+    line = DELIMITER.join(values)
+    if ("\n" in line or "\r" in line or line.count(DELIMITER) != len(FIELD_NAMES) - 1
+            or tuple(map(str.strip, values)) != values):
+        return None
+    return line
+
+
 def encode_record(record: TweetRecord) -> str:
     """Encode a record as a single delimited line.
 
@@ -104,13 +122,18 @@ def decode_record(line: str) -> list[str]:
     Accepts both the bare ("a<8>b") and spaced ("a <8> b") delimiter
     forms: at most one leading and one trailing space of each field
     belong to the delimiter convention, never to the field, and are
-    dropped. Raises FieldCountError when the split does not yield exactly
-    seven fields, which signals a corrupt input line.
+    dropped. A line where no space touches a delimiter or either end,
+    as every line encode_record writes, is returned as split. Raises
+    FieldCountError when the split does not yield exactly seven fields,
+    which signals a corrupt input line.
     """
     parts = line.split(DELIMITER)
     if len(parts) != len(FIELD_NAMES):
         raise FieldCountError(len(parts))
-    return [part.removeprefix(" ").removesuffix(" ") for part in parts]
+    if (" " + DELIMITER in line or DELIMITER + " " in line
+            or line.startswith(" ") or line.endswith(" ")):
+        return [part.removeprefix(" ").removesuffix(" ") for part in parts]
+    return parts
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Rate-limited crawl loop against the search API.
 
 One logical loop: throttle, fetch a page, turn each status into its
-sanitized record with the text prefixed "OT " or "RT ", filter out
+record line with the text prefixed "OT " or "RT " (checked once, and
+sanitized only where the check fails), filter out
 records without a usable location or language, drop ids already seen,
 and append delimited lines to the file for the hour the page was
 fetched in.
@@ -24,8 +25,10 @@ from urllib.parse import urlencode, urlsplit
 
 from .clock import SystemClock
 from .codec import (
+    FIELD_NAMES,
     FileLocator,
     TweetRecord,
+    clean_line,
     crawl_file_path,
     encode_record,
     sanitize_field,
@@ -47,6 +50,7 @@ log = logging.getLogger(__name__)
 
 DEDUP_CAPACITY = 10_000_000  # tweet ids a crawl remembers
 SEARCH_TIMEOUT_S = 10.0
+_ID, _LANG, _LOCATION = map(FIELD_NAMES.index, ("id", "lang", "location"))
 
 
 class FetchError(Exception):
@@ -107,15 +111,19 @@ def throttle(window: RateWindow, now_ms: int) -> int:
     return max(0, window.reset_at_ms() - now_ms)
 
 
-def parse_status(status: dict) -> TweetRecord | None:
-    """The record to store for one JSON status object; None if malformed.
+def parse_status(status: dict) -> tuple[tuple[str, ...], str | None] | None:
+    """The field values to store for one JSON status object, and their
+    line if it needs no sanitizing; None if the status is malformed.
 
-    Every field is sanitized, after the text is prefixed "OT " (original)
-    or "RT " (retweet), so whatever reaches the file is encodable. The
-    API marks user.location and lang nullable: null reads as empty, which
-    the crawl then filters. Any other field that is not a string, a
-    retweet flag that is not a boolean, or an id_str that is not a
-    non-empty string of ASCII digits makes the status malformed.
+    The text is prefixed "OT " (original) or "RT " (retweet), and the
+    line is built once from the raw values and checked once by
+    clean_line. Only a status that fails the check has every field
+    sanitized, and its line is left to encode_record, once the crawl
+    keeps it; either way what reaches the file is encodable. The API
+    marks user.location and lang nullable: null reads as empty, which the
+    crawl then filters. Any other field that is not a string, a retweet
+    flag that is not a boolean, or an id_str that is not a non-empty
+    string of ASCII digits makes the status malformed.
     """
     try:
         user = status["user"]
@@ -124,20 +132,24 @@ def parse_status(status: dict) -> TweetRecord | None:
                 and isinstance(retweet, bool)):
             return None
         location, lang = user["location"], status["lang"]
-        # sanitize_field raises TypeError on any value that is not a string.
-        return TweetRecord(
-            creation_date=sanitize_field(status["created_at"]),
+        values = (
+            status["created_at"],
             # int() drops leading zeros, as SeenIds keys ids, and raises
             # ValueError past its digit limit.
-            id=str(int(id_str)),
-            lang=sanitize_field("" if lang is None else lang),
-            location=sanitize_field("" if location is None else location),
-            name=sanitize_field(user["name"]),
-            username=sanitize_field(user["screen_name"]),
-            text=sanitize_field(("RT " if retweet else "OT ") + status["text"]),
+            str(int(id_str)),
+            "" if lang is None else lang,
+            "" if location is None else location,
+            user["name"],
+            user["screen_name"],
+            ("RT " if retweet else "OT ") + status["text"],
         )
+        # clean_line raises TypeError on any value that is not a string.
+        line = clean_line(values)
     except (KeyError, TypeError, ValueError):
         return None
+    if line is None:
+        values = tuple(map(sanitize_field, values))
+    return values, line
 
 
 class SeenIds:
@@ -169,6 +181,36 @@ class SeenIds:
         return len(self._seen)
 
 
+def page_lines(statuses: list, seen: SeenIds, stats: CrawlStats) -> list[str]:
+    """The lines to store for one page of statuses, in page order.
+
+    Each well-formed status counts as seen and lands in one stats bucket:
+    filtered for a blank location, then for an empty or "und" language,
+    then dropped as a duplicate id, or kept.
+    """
+    lines: list[str] = []
+    for status in statuses:
+        parsed = parse_status(status)
+        if parsed is None:
+            # No field values: the status carries the author's identity.
+            log.warning("malformed status skipped: missing or invalid field")
+            continue
+        values, line = parsed
+        stats.tweets_seen += 1
+        if not values[_LOCATION]:
+            stats.filtered_no_location += 1
+            continue
+        if values[_LANG] in ("", "und"):
+            stats.filtered_no_lang += 1
+            continue
+        if not seen.add(int(values[_ID])):
+            stats.duplicates_dropped += 1
+            continue
+        lines.append(line or encode_record(TweetRecord(*values)))
+        stats.tweets_kept += 1
+    return lines
+
+
 class HourlyRecordWriter:
     """Append encoded records to the crawl file for each page's fetch hour.
 
@@ -183,15 +225,15 @@ class HourlyRecordWriter:
         self.out_dir = out_dir
         self._log: LineLog | None = None
 
-    def write_page(self, records: list[TweetRecord], fetched_at_ms: int) -> None:
-        if not records:
+    def write_page(self, lines: list[str], fetched_at_ms: int) -> None:
+        if not lines:
             return
         path = crawl_file_path(FileLocator.from_timestamp_ms(fetched_at_ms), root=self.out_dir)
         if self._log is None or self._log.path != path:
             self.close()
             self._log = LineLog(path)
             log.debug("writing crawl records to %s", path)
-        self._log.append("".join(encode_record(r) + "\n" for r in records).encode())
+        self._log.append("".join(line + "\n" for line in lines).encode())
 
     def close(self) -> None:
         if self._log is not None:
@@ -367,26 +409,7 @@ def run_crawl(cfg: CrawlConfig, clock=None) -> CrawlStats:
                     clock.sleep_ms(cfg.interval_ms)
                     continue
 
-                page_records: list[TweetRecord] = []
-                for status in statuses:
-                    record = parse_status(status)
-                    if record is None:
-                        # No field values: the status carries the author's identity.
-                        log.warning("malformed status skipped: missing or invalid field")
-                        continue
-                    stats.tweets_seen += 1
-                    if not record.location:
-                        stats.filtered_no_location += 1
-                        continue
-                    if record.lang in ("", "und"):
-                        stats.filtered_no_lang += 1
-                        continue
-                    if not seen.add(int(record.id)):
-                        stats.duplicates_dropped += 1
-                        continue
-                    page_records.append(record)
-                    stats.tweets_kept += 1
-                writer.write_page(page_records, now)
+                writer.write_page(page_lines(statuses, seen, stats), now)
 
                 clock.sleep_ms(cfg.interval_ms)
     finally:

@@ -107,21 +107,6 @@ class RawTweet:
     text: str
     is_retweet: bool
 
-    def to_status(self) -> dict:
-        """Shape the tweet the way the HTTP API serializes it."""
-        return {
-            "created_at": self.creation_date,
-            "id_str": str(self.id),
-            "lang": self.lang,
-            "user": {
-                "location": self.location,
-                "name": self.name,
-                "screen_name": self.username,
-            },
-            "text": self.text,
-            "retweeted_status_present": self.is_retweet,
-        }
-
 
 @dataclass
 class ApiPage:

@@ -500,15 +500,18 @@ class PrivacyGateway:
         pseudonymize and dispatch the records in groups of DISPATCH_GROUP;
         returns the bundle count.
 
-        The ledger is opened first, when there are records, so a ledger
-        another process holds refuses the run before it binds anyone.
-        Every author is enrolled before the first bundle leaves, so a
-        mention of a user whose own tweet comes later in the feed is
-        scrubbed too, and the new bindings are on disk before any
-        disclosure cites them.
+        When there are records, the ledger and the vault are opened
+        first, whichever file exists first: a file another process holds
+        always exists, so it refuses the run before either file is made
+        and before anyone is bound. Every author is enrolled before the
+        first bundle leaves, so a mention of a user whose own tweet comes
+        later in the feed is scrubbed too, and the new bindings are on
+        disk before any disclosure cites them.
         """
         if records:
-            self.ledger.open()
+            for line_log in sorted((self.ledger, self.vault),
+                                   key=lambda line_log: not os.path.exists(line_log.path)):
+                line_log.open()
         codes = [self.register_user(user_key_for(t.username, t.id), (t.username, t.name, t.id))
                  for t in records]
         self.vault.sync()

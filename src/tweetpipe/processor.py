@@ -19,6 +19,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from importlib import resources
 from itertools import product
 from json.encoder import encode_basestring
@@ -38,6 +39,7 @@ from .ledger import LineLog, replaced_text
 log = logging.getLogger(__name__)
 
 GAZETTEER_HEADER = ("city", "country", "aliases")
+LOOKUP_MEMO_SIZE = 4096  # free-text locations whose answer a Gazetteer keeps
 _LOCATION = FIELD_NAMES.index("location")
 
 
@@ -61,6 +63,12 @@ class _Term:
     country: str
     city: str | None
     entry_order: int
+
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        """The word-bounded, case-insensitive regex of the text, compiled
+        the first time a lookup probes the term: most never are."""
+        return re.compile(r"(?<!\w)" + re.escape(self.text) + r"(?!\w)", re.IGNORECASE)
 
 
 def _case_key(text: str) -> str:
@@ -88,6 +96,10 @@ class Gazetteer:
     or one if some term is that short) and a lookup probes the index only
     at those positions. Each term found there is checked exactly as a scan
     over all terms checks it, so the answer is the same.
+
+    Free-text locations repeat, so the answers are kept in a memo of at
+    most LOOKUP_MEMO_SIZE texts, emptied when full; a text not in it is
+    looked up as above.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
@@ -105,11 +117,10 @@ class Gazetteer:
         # findall yields the `prefix` characters (fewer at the end) at each
         # position no word character precedes.
         self._starts = re.compile(rf"(?<!\w)(?=(.{{1,{prefix}}}))", re.DOTALL)
-        self._index: dict[str, list[tuple[str, re.Pattern, _Term]]] = {}
+        self._index: dict[str, list[tuple[str, _Term]]] = {}
         for t in sorted(terms.values(), key=lambda t: -len(t.text)):
-            pattern = re.compile(r"(?<!\w)" + re.escape(t.text) + r"(?!\w)", re.IGNORECASE)
-            self._index.setdefault(_case_key(t.text[:prefix]), []).append(
-                (t.text.lower(), pattern, t))
+            self._index.setdefault(_case_key(t.text[:prefix]), []).append((t.text.lower(), t))
+        self._memo: dict[str, tuple[str | None, str | None]] = {}
 
     def lookup(self, free_text: str) -> tuple[str | None, str | None]:
         """Best (country, city) guess for a free-text location field.
@@ -117,15 +128,25 @@ class Gazetteer:
         A city hit fills in its country; a country-only hit leaves city
         None; no hit at all, or blank text, yields (None, None).
         """
+        answer = self._memo.get(free_text)
+        if answer is None:
+            answer = self._probe(free_text)
+            if len(self._memo) >= LOOKUP_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[free_text] = answer
+        return answer
+
+    def _probe(self, free_text: str) -> tuple[str | None, str | None]:
+        """lookup's answer, worked out from the index."""
         if not free_text.strip():
             return None, None
         lowered = free_text.lower()
         best: tuple | None = None
         for start in self._starts.findall(free_text):
-            for lower_text, pattern, term in self._index.get(_case_key(start), ()):
+            for lower_text, term in self._index.get(_case_key(start), ()):
                 if lower_text not in lowered:  # cheap prefilter before the regex
                     continue
-                m = pattern.search(free_text)
+                m = term.pattern.search(free_text)
                 if m is None:
                     continue
                 rank = (-len(term.text), m.start(), 0 if term.is_country else 1, term.entry_order)

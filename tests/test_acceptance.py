@@ -8,6 +8,7 @@ module and therefore runs last.
 """
 
 import datetime as dt
+import json
 import random
 import re
 import time
@@ -46,7 +47,7 @@ from tweetpipe.gateway import (
     user_key_for,
 )
 from tweetpipe.ledger import ComplianceLedger
-from tweetpipe.mockserver import MockFirehoseServer
+from tweetpipe.mockserver import MockFirehoseServer, status_json
 from tweetpipe.processor import ProcessedTweet, default_gazetteer
 from tweetpipe.pruner import ORDER_COUNT_DESC, ORDER_KEY_ASC, prune
 
@@ -248,7 +249,8 @@ def test_criterion_06_filtering_and_stats_identity(dup_run, next_run, hour_run):
 
 def to_processed(raw, gazetteer):
     """The record the crawler would store for raw, with its location verdict."""
-    record = parse_status(raw.to_status())
+    values, _line = parse_status(json.loads(status_json(raw)))
+    record = TweetRecord(*values)
     return ProcessedTweet(*record.fields(), *gazetteer.lookup(record.location))
 
 

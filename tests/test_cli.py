@@ -629,6 +629,9 @@ def test_a_held_ledger_or_vault_refuses_a_second_writer(tmp_path, capsys, held):
             # a report takes no lock
             assert main(["--data-dir", str(data), "ledger", "report", "--code", "ab" * 16]) == 0
             assert "breach notification (entry 1)" in capsys.readouterr().out
+        else:
+            # refused before it made a ledger
+            assert not (data / "ledger.jsonl").exists()
     assert holder.returncode == 0
     entries = 1 if held == "ledger" else 0
     assert main(["--data-dir", str(data), "ledger", "verify"]) == 0

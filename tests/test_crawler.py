@@ -9,18 +9,20 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tweetpipe import crawler
 from tweetpipe.cli import main
 from tweetpipe.clock import VirtualClock
-from tweetpipe.codec import TweetRecord, decode_record
+from tweetpipe.codec import TweetRecord, decode_record, encode_record, sanitize_field
 from tweetpipe.crawler import (
     CrawlConfig,
+    CrawlStats,
     FetchError,
     HourlyRecordWriter,
     SearchClient,
     SeenIds,
+    page_lines,
     parse_status,
     run_crawl,
     throttle,
@@ -37,7 +39,7 @@ from tweetpipe.firehose import (
     RateWindow,
     RawTweet,
 )
-from tweetpipe.mockserver import MockFirehoseServer, _Handler
+from tweetpipe.mockserver import MockFirehoseServer, _Handler, status_json
 
 T0 = 1_567_888_000_000
 
@@ -55,6 +57,17 @@ def make_tweet(**overrides):
     )
     base.update(overrides)
     return RawTweet(**base)
+
+
+def status_of(tweet):
+    """The status object the mock search API sends for tweet."""
+    return json.loads(status_json(tweet))
+
+
+def parsed_record(tweet):
+    """The record parse_status makes of tweet's status."""
+    values, _line = parse_status(status_of(tweet))
+    return TweetRecord(*values)
 
 
 # ------------------------------------------------------------------ filter
@@ -82,7 +95,7 @@ def crawl_page(scripted_server, tmp_path, statuses):
 )
 def test_filter_tweet(scripted_server, tmp_path, location, lang, keep):
     stats, records = crawl_page(scripted_server, tmp_path,
-                                [make_tweet(location=location, lang=lang).to_status()])
+                                [status_of(make_tweet(location=location, lang=lang))])
     assert stats.tweets_seen == 1
     assert (stats.tweets_kept == 1) is keep
     assert len(records) == stats.tweets_kept
@@ -91,16 +104,109 @@ def test_filter_tweet(scripted_server, tmp_path, location, lang, keep):
 def test_filter_reason_prefers_location(scripted_server, tmp_path):
     tweets = [make_tweet(id=1, location="", lang="und"), make_tweet(id=2, lang="und"),
               make_tweet(id=3)]
-    stats, records = crawl_page(scripted_server, tmp_path, [t.to_status() for t in tweets])
+    stats, records = crawl_page(scripted_server, tmp_path, [status_of(t) for t in tweets])
     assert (stats.filtered_no_location, stats.filtered_no_lang, stats.tweets_kept) == (1, 1, 1)
     assert [r.id for r in records] == ["3"]
 
 
 def test_prefix_text():
-    assert parse_status(make_tweet(text="hi").to_status()).text == "OT hi"
-    assert parse_status(make_tweet(text="hi", is_retweet=True).to_status()).text == "RT hi"
+    assert parsed_record(make_tweet(text="hi")).text == "OT hi"
+    assert parsed_record(make_tweet(text="hi", is_retweet=True)).text == "RT hi"
     # The prefix is sanitized with the text, so its space goes when the text is empty.
-    assert parse_status(make_tweet(text="").to_status()).text == "OT"
+    assert parsed_record(make_tweet(text="")).text == "OT"
+
+
+# ------------------------------------------- one check per status, vs reference
+
+
+def reference_page_lines(statuses, seen, stats):
+    """The crawl's page path before each line was checked once: every
+    field through sanitize_field, then encode_record on each kept record."""
+    lines = []
+    for status in statuses:
+        try:
+            user = status["user"]
+            id_str, retweet = status["id_str"], status["retweeted_status_present"]
+            if not (isinstance(id_str, str) and id_str.isascii() and id_str.isdigit()
+                    and isinstance(retweet, bool)):
+                continue
+            location, lang = user["location"], status["lang"]
+            record = TweetRecord(
+                creation_date=sanitize_field(status["created_at"]),
+                id=str(int(id_str)),
+                lang=sanitize_field("" if lang is None else lang),
+                location=sanitize_field("" if location is None else location),
+                name=sanitize_field(user["name"]),
+                username=sanitize_field(user["screen_name"]),
+                text=sanitize_field(("RT " if retweet else "OT ") + status["text"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            continue
+        stats.tweets_seen += 1
+        if not record.location:
+            stats.filtered_no_location += 1
+        elif record.lang in ("", "und"):
+            stats.filtered_no_lang += 1
+        elif not seen.add(int(record.id)):
+            stats.duplicates_dropped += 1
+        else:
+            lines.append(encode_record(record))
+            stats.tweets_kept += 1
+    return lines
+
+
+# Pieces that sanitize_field changes or that sit next to what it changes:
+# line breaks, the delimiter and its halves, whitespace that str.strip
+# removes (tabs, the \x1c-\x1f separators, NEL, the line separator, the
+# ideographic space) and plain text.
+PIECES = st.sampled_from([
+    "\r\n", "\r", "\n", "<8>", "<8", "8>", "<", ">", " ", "\t", "\x1c", "\x1d", "\x1e",
+    "\x1f", "\x85", "\u2028", "\u3000", "\xa0", "a", "und", "é", "Delhi",
+])
+FIELD = st.one_of(st.sampled_from(["", "en", "und", "Delhi, India", "two words"]),
+                  st.lists(PIECES, max_size=5).map("".join), st.text(max_size=4))
+RARE = st.sampled_from([False] * 29 + [True])
+NOT_A_STRING = st.one_of(st.none(), st.integers(), st.booleans(), st.just(["a"]), st.just({}))
+
+
+@st.composite
+def wire_statuses(draw):
+    """A status as the API might send it: edgy field text, a null lang or
+    location, now and then a field of the wrong type, a retweet flag that
+    is no boolean or an id_str that is not plain digits."""
+
+    def rarely(common, rare):
+        return draw(rare if draw(RARE) else common)
+
+    def field(nullable=False):
+        return rarely(st.one_of(st.none(), FIELD) if nullable else FIELD, NOT_A_STRING)
+
+    status = {
+        "created_at": field(),
+        "id_str": rarely(st.integers(0, 30).map(str),
+                         st.sampled_from(["007", "-5", "", " 5", "1_0", "\u0665"])),
+        "lang": field(nullable=True),
+        "user": {"location": field(nullable=True), "name": field(), "screen_name": field()},
+        "text": field(),
+        "retweeted_status_present": rarely(st.booleans(), st.sampled_from([0, 1, None, "no"])),
+    }
+    if draw(RARE):
+        del status[draw(st.sampled_from(sorted(status)))]
+    return status
+
+
+DEDUP_TEST_CAPACITY = 8  # small, so that eviction happens too
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(wire_statuses(), max_size=6), max_size=4))
+def test_page_lines_match_the_sanitize_then_encode_reference(pages):
+    seen, stats = SeenIds(DEDUP_TEST_CAPACITY), CrawlStats()
+    ref_seen, ref_stats = SeenIds(DEDUP_TEST_CAPACITY), CrawlStats()
+    for statuses in pages:
+        assert page_lines(statuses, seen, stats) == reference_page_lines(
+            statuses, ref_seen, ref_stats)
+    assert stats == ref_stats
 
 
 # ---------------------------------------------------------------- throttle
@@ -129,7 +235,7 @@ def test_throttle_rolls_stale_window():
 
 def test_parse_status_round_trip():
     tweet = make_tweet()
-    assert parse_status(tweet.to_status()) == TweetRecord(
+    expected = TweetRecord(
         creation_date=tweet.creation_date,
         id=str(tweet.id),
         lang=tweet.lang,
@@ -138,6 +244,9 @@ def test_parse_status_round_trip():
         username=tweet.username,
         text="OT " + tweet.text,
     )
+    assert parsed_record(tweet) == expected
+    # A status that needs no sanitizing comes with its line.
+    assert parse_status(status_of(tweet))[1] == encode_record(expected)
 
 
 def test_parse_status_sanitizes_every_field():
@@ -145,10 +254,12 @@ def test_parse_status_sanitizes_every_field():
         creation_date=" Sat Sep 07\n", lang="en ", location="  Delhi<8>India\r\n",
         name="Asha\nRao ", username=" asha<8>", text="two\r\nlines <8>", is_retweet=True,
     )
-    assert parse_status(tweet.to_status()) == TweetRecord(
+    assert parsed_record(tweet) == TweetRecord(
         creation_date="Sat Sep 07", id=str(tweet.id), lang="en", location="Delhi<8 >India",
         name="Asha Rao", username="asha<8 >", text="RT two lines <8 >",
     )
+    # Its line is left to encode_record.
+    assert parse_status(status_of(tweet))[1] is None
 
 
 @pytest.mark.parametrize(
@@ -169,7 +280,7 @@ def test_parse_status_sanitizes_every_field():
     ],
 )
 def test_parse_status_rejects_malformed(mangle):
-    status = make_tweet().to_status()
+    status = status_of(make_tweet())
     mangle(status)
     assert parse_status(status) is None
 
@@ -241,11 +352,15 @@ def make_record(i, text="OT hello"):
     )
 
 
+def lines_of(*records):
+    return [encode_record(r) for r in records]
+
+
 def test_writer_groups_pages_by_fetch_hour(tmp_path):
     hour_ms = 3_600_000
     with HourlyRecordWriter(str(tmp_path)) as writer:
-        writer.write_page([make_record(1), make_record(2)], T0)
-        writer.write_page([make_record(3)], T0 + hour_ms)
+        writer.write_page(lines_of(make_record(1), make_record(2)), T0)
+        writer.write_page(lines_of(make_record(3)), T0 + hour_ms)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.txt")) == [
         "09-07-2019/tweets-20 PM.txt",
         "09-07-2019/tweets-21 PM.txt",
@@ -266,9 +381,9 @@ def test_writer_skips_empty_pages(tmp_path):
 
 def test_writer_appends_on_reopen(tmp_path):
     with HourlyRecordWriter(str(tmp_path)) as writer:
-        writer.write_page([make_record(1)], T0)
+        writer.write_page(lines_of(make_record(1)), T0)
     with HourlyRecordWriter(str(tmp_path)) as writer:
-        writer.write_page([make_record(2)], T0)
+        writer.write_page(lines_of(make_record(2)), T0)
     path = tmp_path / "09-07-2019" / "tweets-20 PM.txt"
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
@@ -277,7 +392,7 @@ def test_resumed_crawl_cuts_a_torn_record_at_every_byte(tmp_path, caplog):
     path = tmp_path / "09-07-2019" / "tweets-20 PM.txt"
     first, second, third = make_record(1), make_record(2, text="OT café ☃ 😀"), make_record(3)
     with HourlyRecordWriter(str(tmp_path)) as writer:
-        writer.write_page([first, second], T0)
+        writer.write_page(lines_of(first, second), T0)
     data = path.read_bytes()
     head = data[:data.index(b"\n") + 1]
     last = data[len(head):]
@@ -287,7 +402,7 @@ def test_resumed_crawl_cuts_a_torn_record_at_every_byte(tmp_path, caplog):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tweetpipe"):
             with HourlyRecordWriter(str(tmp_path)) as writer:
-                writer.write_page([third], T0)
+                writer.write_page(lines_of(third), T0)
         expected = f"{path}: skipping a torn final line at byte {len(head)}"
         assert [r.getMessage() for r in caplog.records] == [expected]
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -682,7 +797,7 @@ def test_run_crawl_skips_a_page_whose_200_body_is_not_a_search_page(
 def test_malformed_status_log_carries_no_identifier(scripted_server, tmp_path, caplog):
     url, handler = scripted_server
     tweet = make_tweet(username="zq_hidden_handle", name="Zq Hidden Name", location="Zqville")
-    status = tweet.to_status()
+    status = status_of(tweet)
     del status["lang"]
     handler.page = {"statuses": [status], "next": "tok"}
     cfg = CrawlConfig(endpoint=url, out_dir=str(tmp_path), max_requests=1)
@@ -731,9 +846,9 @@ def test_bad_status_line_log_carries_no_wire_text(tmp_path, caplog):
 
 
 def test_run_crawl_skips_a_negative_id_and_goes_on(scripted_server, tmp_path):
-    bad = make_tweet(id=1).to_status()
+    bad = status_of(make_tweet(id=1))
     bad["id_str"] = "-5"
-    stats, records = crawl_page(scripted_server, tmp_path, [bad, make_tweet(id=2).to_status()])
+    stats, records = crawl_page(scripted_server, tmp_path, [bad, status_of(make_tweet(id=2))])
     assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
     assert [r.id for r in records] == ["2"]
 
@@ -741,10 +856,10 @@ def test_run_crawl_skips_a_negative_id_and_goes_on(scripted_server, tmp_path):
 def test_run_crawl_skips_ids_that_int_would_accept(scripted_server, tmp_path):
     statuses = []
     for i, id_str in enumerate(["1_000", "\u0665"]):  # the latter is ARABIC-INDIC DIGIT FIVE
-        status = make_tweet(id=i).to_status()
+        status = status_of(make_tweet(id=i))
         status["id_str"] = id_str
         statuses.append(status)
-    statuses.append(make_tweet(id=7).to_status())
+    statuses.append(status_of(make_tweet(id=7)))
     stats, records = crawl_page(scripted_server, tmp_path, statuses)
     assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
     assert [r.id for r in records] == ["7"]
@@ -752,14 +867,14 @@ def test_run_crawl_skips_ids_that_int_would_accept(scripted_server, tmp_path):
 
 def test_run_crawl_filters_blank_and_padded_undetected_lang(scripted_server, tmp_path):
     tweets = [make_tweet(id=1, lang="  "), make_tweet(id=2, lang=" und")]
-    stats, records = crawl_page(scripted_server, tmp_path, [t.to_status() for t in tweets])
+    stats, records = crawl_page(scripted_server, tmp_path, [status_of(t) for t in tweets])
     assert (stats.tweets_seen, stats.filtered_no_lang, stats.tweets_kept) == (2, 2, 0)
     assert records == []
 
 
 def test_run_crawl_filters_null_location_and_lang(scripted_server, tmp_path):
     # The API marks both fields nullable.
-    no_location, no_lang = make_tweet(id=1).to_status(), make_tweet(id=2).to_status()
+    no_location, no_lang = status_of(make_tweet(id=1)), status_of(make_tweet(id=2))
     no_location["user"]["location"] = None
     no_lang["lang"] = None
     stats, records = crawl_page(scripted_server, tmp_path, [no_location, no_lang])
@@ -774,10 +889,10 @@ def test_run_crawl_filters_null_location_and_lang(scripted_server, tmp_path):
     ("retweeted_status_present", 1), ("retweeted_status_present", None),
 ])
 def test_run_crawl_skips_a_field_of_the_wrong_type(scripted_server, tmp_path, field, value):
-    bad = make_tweet(id=1).to_status()
+    bad = status_of(make_tweet(id=1))
     owner = bad["user"] if field.startswith("user.") else bad
     owner[field.removeprefix("user.")] = value
-    stats, records = crawl_page(scripted_server, tmp_path, [bad, make_tweet(id=2).to_status()])
+    stats, records = crawl_page(scripted_server, tmp_path, [bad, status_of(make_tweet(id=2))])
     assert (stats.tweets_seen, stats.tweets_kept) == (1, 1)
     assert [r.id for r in records] == ["2"]
 

@@ -3,11 +3,14 @@
 import datetime as dt
 import http.client
 import json
+import socket
 from urllib.parse import urlencode, urlsplit
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tweetpipe.firehose import (
+    ApiPage,
     AuthError,
     BadTokenError,
     Credentials,
@@ -18,12 +21,13 @@ from tweetpipe.firehose import (
     RATE_WINDOW_MS,
     RateLimitError,
     RateWindow,
+    RawTweet,
     TOKEN_TTL_MS,
     TweetFactory,
     UND_LANG_RATE,
     format_created_at,
 )
-from tweetpipe.mockserver import MockFirehoseServer
+from tweetpipe.mockserver import MockFirehoseServer, page_json, status_json
 
 CREDS = Credentials()
 T0 = 1_567_888_000_000  # some Saturday evening, UTC
@@ -88,7 +92,7 @@ def test_created_at_formatting():
 
 def test_status_wire_shape():
     page = make_engine().search(CREDS, count=1, now_ms=T0)
-    status = page.tweets[0].to_status()
+    status = json.loads(status_json(page.tweets[0]))
     assert set(status) == {
         "created_at", "id_str", "lang", "user", "text", "retweeted_status_present",
     }
@@ -313,3 +317,78 @@ def test_http_rate_limited(server):
 def test_http_unknown_path(server):
     resp, _ = http_get(server, "/nope")
     assert resp.status == 404
+
+
+def test_stop_after_a_served_request_ends_the_thread_and_frees_the_port():
+    server = MockFirehoseServer(make_engine()).start()
+    thread = server._thread
+    url = urlsplit(server.url)
+    assert http_get(server, "/nope")[0].status == 404
+    server.stop()
+    assert not thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((url.hostname, url.port), timeout=5).close()
+
+
+# ------------------------------------------------------ page JSON vs dumps
+
+
+def reference_status(tweet):
+    """The status object the search API sends for tweet, as a dict."""
+    return {
+        "created_at": tweet.creation_date,
+        "id_str": str(tweet.id),
+        "lang": tweet.lang,
+        "user": {
+            "location": tweet.location,
+            "name": tweet.name,
+            "screen_name": tweet.username,
+        },
+        "text": tweet.text,
+        "retweeted_status_present": tweet.is_retweet,
+    }
+
+
+def reference_page_json(page):
+    return json.dumps({"statuses": [reference_status(t) for t in page.tweets],
+                       "next": page.next_token})
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+def test_page_json_is_json_dumps_of_the_status_objects_on_seeded_pages(seed):
+    engine = make_engine(seed=seed)
+    token = None
+    for n in range(20):
+        page = engine.search(CREDS, next_token=token, now_ms=T0 + n * 64_000)
+        assert page_json(page) == reference_page_json(page)
+        token = page.next_token
+
+
+AWKWARD = 'caf\u00e9 \u2603 \U0001f600 "quoted" back\\slash\nnew line\t\x00\u2028'
+
+
+@pytest.mark.parametrize("is_retweet", [False, True])
+def test_page_json_is_json_dumps_of_the_status_objects_on_awkward_text(is_retweet):
+    tweet = RawTweet(AWKWARD, 10**19, AWKWARD, AWKWARD, AWKWARD, AWKWARD, AWKWARD, is_retweet)
+    for tweets in ([], [tweet], [tweet, tweet]):
+        page = ApiPage(tweets, next_token=AWKWARD, remaining=0, reset_at_ms=0)
+        assert page_json(page) == reference_page_json(page)
+
+
+@given(st.builds(RawTweet, st.text(), st.integers(0, 2**64), st.text(), st.text(), st.text(),
+                 st.text(), st.text(), st.booleans()))
+def test_page_json_is_json_dumps_of_the_status_objects_on_any_text(tweet):
+    page = ApiPage([tweet], next_token="tok", remaining=0, reset_at_ms=0)
+    assert page_json(page) == reference_page_json(page)
+
+
+def test_a_served_page_is_json_dumps_of_the_status_objects(server):
+    url = urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        conn.request("GET", "/1.1/search/tweets.json?count=100", headers=auth_headers())
+        body = conn.getresponse().read()
+    finally:
+        conn.close()
+    page = make_engine().search(CREDS, count=100, now_ms=T0)
+    assert body == reference_page_json(page).encode("utf-8")

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from tweetpipe.analyzer import ParseError
 from tweetpipe.codec import FIELD_NAMES, TweetRecord, encode_record
 from tweetpipe.processor import (
+    LOOKUP_MEMO_SIZE,
     Gazetteer,
     GazetteerEntry,
     ProcessedTweet,
@@ -197,6 +198,21 @@ def test_indexed_lookup_matches_the_scan_on_short_terms(data):
     terms = sorted({t for e in entries for t in (e.country, e.city, *e.aliases)})
     text = data.draw(location_texts(terms))
     assert Gazetteer(entries).lookup(text) == ReferenceGazetteer(entries).lookup(text)
+
+
+def test_lookup_memo_stays_within_its_cap_and_keeps_the_reference_answers():
+    # More distinct texts than the memo holds, each asked twice in a row,
+    # then the first ones again after the memo has been emptied.
+    gazetteer = default_gazetteer()
+    texts = [f"{WORLD_TERMS[i % len(WORLD_TERMS)]} {i}" for i in range(LOOKUP_MEMO_SIZE + 500)]
+    answers = {}
+    for text in texts:
+        answers[text] = WORLD_REFERENCE.lookup(text)
+        assert gazetteer.lookup(text) == answers[text]
+        assert gazetteer.lookup(text) == answers[text]
+        assert len(gazetteer._memo) <= LOOKUP_MEMO_SIZE
+    for text in texts[:100]:
+        assert gazetteer.lookup(text) == answers[text]
 
 
 def test_entry_validation():
