@@ -122,18 +122,13 @@ def decode_record(line: str) -> list[str]:
     Accepts both the bare ("a<8>b") and spaced ("a <8> b") delimiter
     forms: at most one leading and one trailing space of each field
     belong to the delimiter convention, never to the field, and are
-    dropped. A line where no space touches a delimiter or either end,
-    as every line encode_record writes, is returned as split. Raises
-    FieldCountError when the split does not yield exactly seven fields,
-    which signals a corrupt input line.
+    dropped. Raises FieldCountError when the split does not yield exactly
+    seven fields, which signals a corrupt input line.
     """
     parts = line.split(DELIMITER)
     if len(parts) != len(FIELD_NAMES):
         raise FieldCountError(len(parts))
-    if (" " + DELIMITER in line or DELIMITER + " " in line
-            or line.startswith(" ") or line.endswith(" ")):
-        return [part.removeprefix(" ").removesuffix(" ") for part in parts]
-    return parts
+    return [part.removeprefix(" ").removesuffix(" ") for part in parts]
 
 
 @dataclass(frozen=True)

@@ -496,14 +496,17 @@ class PrivacyGateway:
                 for category in self.rules.categories_for(t.text)]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
-        """Open the ledger, enrol every author, fsync the vault, then
-        pseudonymize and dispatch the records in groups of DISPATCH_GROUP;
-        returns the bundle count.
+        """Open the ledger and the vault, enrol every author, fsync the
+        vault, then pseudonymize and dispatch the records in groups of
+        DISPATCH_GROUP; returns the bundle count.
 
         When there are records, the ledger and the vault are opened
         first, whichever file exists first: a file another process holds
         always exists, so it refuses the run before either file is made
-        and before anyone is bound. Every author is enrolled before the
+        and before anyone is bound. The vault is opened even when every
+        author is enrolled already, so a vault that another process holds,
+        or changed since it was loaded, refuses a run whose disclosures
+        would cite the codes loaded from it. Every author is enrolled before the
         first bundle leaves, so a mention of a user whose own tweet comes
         later in the feed is scrubbed too, and the new bindings are on
         disk before any disclosure cites them.

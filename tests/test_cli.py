@@ -642,6 +642,32 @@ def test_a_held_ledger_or_vault_refuses_a_second_writer(tmp_path, capsys, held):
     assert capsys.readouterr().out.endswith(f"entries={entries + 3}\n")
 
 
+def test_a_held_vault_refuses_a_gateway_whose_authors_are_all_enrolled(tmp_path, capsys):
+    # The run would bind no one, yet it opens the vault with the ledger.
+    in_file = tmp_path / "in.json"
+    write_processed(in_file)
+    registry = tmp_path / "registry.txt"
+    registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
+    data = tmp_path / "data"
+    gateway = ["--data-dir", str(data), "gateway", "--in", str(in_file),
+               "--registry", str(registry)]
+    assert main(gateway) == 0
+    capsys.readouterr()
+    path = data / "vault.jsonl"
+    ledger = (data / "ledger.jsonl").read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    with subprocess.Popen([sys.executable, "-c", HOLDER, "vault", str(path)], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as holder:
+        assert holder.stdout.readline() == "holding\n"
+        assert main(gateway) == 1
+        assert capsys.readouterr().err == f"error: {path}: in use by another process\n"
+        assert (data / "ledger.jsonl").read_bytes() == ledger
+    assert holder.returncode == 0
+    assert main(gateway) == 0
+    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
+    assert capsys.readouterr().out.endswith("entries=6\n")
+
+
 # Appends one line to a line file, says so, and keeps the file open until
 # its stdin closes.
 LINE_HOLDER = """
