@@ -256,20 +256,19 @@ def cmd_ledger(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
+def _mock_crawl_stage(args):
+    """Crawl an in-process mock under a virtual clock; returns the stats.
+
+    Nothing else holds the mock's engine, so its window of served tweets
+    is freed when this returns, before any file is processed.
+    """
     from .crawler import CrawlConfig
     from .firehose import FirehoseEngine
     from .mockserver import MockFirehoseServer
 
-    specs = _load_specs_arg(args)
-    gazetteer = _load_gazetteer_arg(args)
-    check_limit(args.limit)
     run_crawl = _stage("run_crawl")
-    seed = _seed(args)
-    start_ms = args.virtual_clock if args.virtual_clock is not None else 0
-    clock = VirtualClock(start_ms=start_ms)
-    engine = FirehoseEngine(seed=seed)
-    with MockFirehoseServer(engine) as server:
+    clock = VirtualClock(start_ms=args.virtual_clock if args.virtual_clock is not None else 0)
+    with MockFirehoseServer(FirehoseEngine(seed=_seed(args))) as server:
         cfg = CrawlConfig(
             endpoint=server.url,
             interval_ms=args.interval_ms,
@@ -277,7 +276,14 @@ def cmd_pipeline(args) -> int:
             duration_ms=parse_duration_ms(args.duration),
             out_dir=args.data_dir,
         )
-        stats = run_crawl(cfg, clock)
+        return run_crawl(cfg, clock)
+
+
+def cmd_pipeline(args) -> int:
+    specs = _load_specs_arg(args)
+    gazetteer = _load_gazetteer_arg(args)
+    check_limit(args.limit)
+    stats = _mock_crawl_stage(args)
     print(f"crawl: {stats.requests} requests, {stats.tweets_kept} records kept")
 
     processed = Counter()

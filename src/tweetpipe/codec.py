@@ -36,7 +36,7 @@ class FieldCountError(ValueError):
         self.field_count = field_count
 
 
-@dataclass
+@dataclass(slots=True)
 class TweetRecord:
     """One crawled tweet in the seven-field on-disk schema."""
 

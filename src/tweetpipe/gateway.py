@@ -342,8 +342,12 @@ class ServiceRegistry:
         except KeyError:
             raise NoServiceForCategoryError(category) from None
 
+    def sinks(self) -> list:
+        """Every sink once, in the order of the categories routed to it."""
+        return list(dict.fromkeys(sink for sink, _beneficiary in self._routes.values()))
+
     def close(self) -> None:
-        for sink, _beneficiary in self._routes.values():
+        for sink in self.sinks():
             sink.close()
 
     def __enter__(self) -> "ServiceRegistry":
@@ -496,23 +500,28 @@ class PrivacyGateway:
                 for category in self.rules.categories_for(t.text)]
 
     def dispatch_feed(self, records, registry: ServiceRegistry) -> int:
-        """Open the ledger and the vault, enrol every author, fsync the
-        vault, then pseudonymize and dispatch the records in groups of
-        DISPATCH_GROUP; returns the bundle count.
+        """Open the ledger, the vault and the directory sinks whose files
+        exist, enrol every author, fsync the vault, then pseudonymize and
+        dispatch the records in groups of DISPATCH_GROUP; returns the
+        bundle count.
 
-        When there are records, the ledger and the vault are opened
-        first, whichever file exists first: a file another process holds
-        always exists, so it refuses the run before either file is made
-        and before anyone is bound. The vault is opened even when every
-        author is enrolled already, so a vault that another process holds,
-        or changed since it was loaded, refuses a run whose disclosures
-        would cite the codes loaded from it. Every author is enrolled before the
-        first bundle leaves, so a mention of a user whose own tweet comes
-        later in the feed is scrubbed too, and the new bindings are on
-        disk before any disclosure cites them.
+        When there are records, those files are opened first, each file
+        that exists before any that does not: a file another process holds
+        always exists, so it refuses the run before the ledger or the
+        vault is made and before anyone is bound. A sink whose file does
+        not exist yet makes it at its first delivery, so a category that
+        gets no bundle leaves no empty file. The vault is opened even when
+        every author is enrolled already, so a vault that another process
+        holds, or changed since it was loaded, refuses a run whose
+        disclosures would cite the codes loaded from it. Every author is
+        enrolled before the first bundle leaves, so a mention of a user
+        whose own tweet comes later in the feed is scrubbed too, and the
+        new bindings are on disk before any disclosure cites them.
         """
         if records:
-            for line_log in sorted((self.ledger, self.vault),
+            sinks = [sink for sink in registry.sinks()
+                     if isinstance(sink, DirectorySink) and os.path.exists(sink.path)]
+            for line_log in sorted((self.ledger, self.vault, *sinks),
                                    key=lambda line_log: not os.path.exists(line_log.path)):
                 line_log.open()
         codes = [self.register_user(user_key_for(t.username, t.id), (t.username, t.name, t.id))

@@ -9,6 +9,7 @@ program never loads ``http.server``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import selectors
@@ -56,7 +57,7 @@ def status_json(tweet: RawTweet) -> str:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    engine: FirehoseEngine  # set by the server factory
+    server: _EngineServer
 
     # Keep-alive: every response carries Content-Length, so a client can
     # send its next request on the same connection.
@@ -111,7 +112,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _do_search(self, params: dict) -> None:
         count = int(params.get("count", [str(MAX_PAGE_SIZE)])[0])
         token = params.get("next", [None])[0]
-        page = self.engine.search(
+        page = self.server.engine.search(
             self._credentials(), count=count, next_token=token, now_ms=self._now_ms()
         )
         self._send(
@@ -122,12 +123,49 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+class _EngineServer(ThreadingHTTPServer):
+    """The HTTP server of one engine, which its handlers reach through it.
+
+    A handler class made per engine would sit in a reference cycle, as
+    every class does, and keep the engine alive until the cyclic
+    collector ran. Each connection's thread holds the server, so
+    server_close ends the connections still open and joins their threads:
+    once it returns, nothing of the server holds the engine.
+    """
+
+    daemon_threads = False  # tracked, so that server_close joins them
+
+    def __init__(self, address: tuple[str, int], engine: FirehoseEngine):
+        super().__init__(address, _Handler)
+        self.engine = engine
+        self._open: set[socket.socket] = set()  # connections being served
+
+    def process_request(self, request: socket.socket, client_address) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Shut every open connection down, so that its handler reads the
+        end of the stream, close the listening socket and wait for the
+        connections' threads to finish."""
+        for request in list(self._open):
+            with contextlib.suppress(OSError):  # its own thread closed it meanwhile
+                request.shutdown(socket.SHUT_RDWR)
+        super().server_close()
+
+
 class MockFirehoseServer:
     """Serve a FirehoseEngine on an ephemeral localhost port.
 
     A thread accepts connections, each served on a thread of its own,
     until stop() writes to a wake-up socket that the accepting thread
-    watches beside the listening one, so stop() waits for no poll.
+    watches beside the listening one, so stop() waits for no poll. stop()
+    then ends the connections still open and waits for their threads, so
+    that the engine is held by nothing here once it returns.
 
     Usable as a context manager:
 
@@ -139,7 +177,7 @@ class MockFirehoseServer:
         self.engine = engine
         self._host = host
         self._port = port
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _EngineServer | None = None
         self._wake: tuple[socket.socket, socket.socket] | None = None
         self._thread: threading.Thread | None = None
 
@@ -151,8 +189,7 @@ class MockFirehoseServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "MockFirehoseServer":
-        handler = type("BoundHandler", (_Handler,), {"engine": self.engine})
-        self._httpd = ThreadingHTTPServer((self._host, self._port), handler)
+        self._httpd = _EngineServer((self._host, self._port), self.engine)
         self._wake = socket.socketpair()
         self._thread = threading.Thread(target=self._accept, args=(self._httpd, self._wake[0]),
                                         daemon=True)
@@ -161,7 +198,7 @@ class MockFirehoseServer:
         return self
 
     @staticmethod
-    def _accept(httpd: ThreadingHTTPServer, wake: socket.socket) -> None:
+    def _accept(httpd: _EngineServer, wake: socket.socket) -> None:
         """Hand each incoming connection to httpd until wake is readable."""
         with selectors.DefaultSelector() as selector:
             selector.register(httpd, selectors.EVENT_READ)

@@ -23,7 +23,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import product
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .analyzer import ParseError
 from .codec import (
@@ -190,9 +190,13 @@ def default_gazetteer() -> Gazetteer:
         return Gazetteer(load_gazetteer(path))
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessedTweet(TweetRecord):
-    """A decoded record plus the detector's country/city verdict."""
+    """A decoded record plus the detector's country/city verdict.
+
+    Slotted, as TweetRecord is: a record holds its nine values and no
+    __dict__, since a processed file's records are all held at once.
+    """
 
     country: str | None = None
     city: str | None = None
@@ -202,11 +206,12 @@ class ProcessedTweet(TweetRecord):
             raise ValueError("a city match implies its country")
 
 
+_FIELDS = tuple(f.name for f in fields(ProcessedTweet))
+_record_values = attrgetter(*_FIELDS)  # a record's values in field order
 # One record as json.dump(..., ensure_ascii=False, indent=2) lays it out
 # inside the array, with a {} slot per field value in field order.
 _RECORD_JSON = "  {{\n" + ",\n".join(
-    f"    {encode_basestring(f.name)}: {{}}" for f in fields(ProcessedTweet)
-) + "\n  }}"
+    f"    {encode_basestring(name)}: {{}}" for name in _FIELDS) + "\n  }}"
 
 
 def write_processed(records, fh) -> None:
@@ -219,9 +224,8 @@ def write_processed(records, fh) -> None:
     """
     sep = "[\n"
     for r in records:
-        # vars() is the field dict in field order; every value is a str or None.
         fh.write(sep + _RECORD_JSON.format(
-            *["null" if v is None else encode_basestring(v) for v in vars(r).values()]))
+            *["null" if v is None else encode_basestring(v) for v in _record_values(r)]))
         sep = ",\n"
     fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
@@ -234,12 +238,15 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     Undecodable lines (not seven fields, or not UTF-8) are skipped and
     counted, not fatal. The file is read as a LineLog, so a final line
     without a newline is torn, not a record: it is counted as skipped,
-    with one warning that gives its byte offset.
+    with one warning that gives its byte offset. A record whose creation
+    date equals the previous record's shares that string: the tweets of
+    one search page were served in one second.
     """
     crawl_loc = parse_crawl_file_path(in_path)
     crawl_log = LineLog(in_path)
     records: list[ProcessedTweet] = []
     skipped = 0
+    date = None
     for line_num, line in crawl_log.lines():
         try:
             values = decode_record(line.decode("utf-8"))
@@ -252,6 +259,10 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
             skipped += 1
             log.warning("%s:%d: not valid UTF-8", in_path, line_num)
             continue
+        if values[0] == date:  # the creation date, the first field
+            values[0] = date
+        else:
+            date = values[0]
         records.append(ProcessedTweet(*values, *gazetteer.lookup(values[_LOCATION])))
     if crawl_log.torn_at is not None:
         skipped += 1
@@ -264,9 +275,8 @@ def process_file(in_path, gazetteer, out_root: str = "./data") -> tuple[list[Pro
     return records, skipped
 
 
-_FIELDS = tuple(f.name for f in fields(ProcessedTweet))
 _FIELD_SET = frozenset(_FIELDS)
-_field_values = itemgetter(*_FIELDS)
+_field_values = itemgetter(*_FIELDS)  # a parsed object's values in field order
 # The exact types each field's value may have, in field order: the seven
 # crawl fields are strings, and the detector's country and city are each
 # a string or null. _VALUE_TYPES holds every allowed tuple of value types.
@@ -281,19 +291,53 @@ def _mistyped(values: tuple) -> str:
     return f"{name} is not a string" + ("" if len(allowed) == 1 else " or null")
 
 
+def _check(index: int, d) -> ProcessedTweet:
+    """The ProcessedTweet of element index of a processed array, parsed as
+    d; raises ValueError naming the element's first fault, quoting no
+    field value."""
+    if type(d) is not dict or d.keys() != _FIELD_SET:
+        raise ValueError(f"record {index} is not an object of the fields {', '.join(_FIELDS)}")
+    values = _field_values(d)
+    # (*...,) builds the tuple at its size; tuple(map(...)) would shrink
+    # a larger one, and CPython's free list would keep one spare tuple
+    # per record (about 220 KB of peak RSS on a 7k-record file).
+    if (*map(type, values),) not in _VALUE_TYPES:
+        raise ValueError(f"record {index}: {_mistyped(values)}")
+    try:
+        return ProcessedTweet(*values)
+    except ValueError as exc:  # ProcessedTweet's own check, which quotes no value
+        raise ValueError(f"record {index}: {exc}") from None
+
+
 def read_processed_file(path) -> list[ProcessedTweet]:
     """Load a processed JSON array back into ProcessedTweet objects.
 
-    Each element is checked once: its keys are exactly ProcessedTweet's
-    fields, and each value has its field's type. A malformed file raises
-    ParseError with its path: with the line of a JSON syntax error, or
-    with the index of the first element that is not an object of those
-    fields, and the field whose value has the wrong type. No field value
-    is quoted.
+    Each JSON object becomes its ProcessedTweet as it is parsed, when it
+    passes _check, so no dict per record is held beside the records; a
+    record whose creation date equals the previous record's shares that
+    string. After the parse the elements are checked in order: a
+    malformed file raises ParseError with its path: with the line of a
+    JSON syntax error, or with the index of the first element that is not
+    an object of ProcessedTweet's fields, and the field whose value has
+    the wrong type. No field value is quoted.
     """
+    date = None
+
+    def as_record(d: dict):
+        nonlocal date
+        try:
+            r = _check(0, d)  # an object's index is not known here
+        except ValueError:
+            return d  # left for the check in index order below
+        if r.creation_date == date:
+            r.creation_date = date
+        else:
+            date = r.creation_date
+        return r
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_hook=as_record)
     except UnicodeDecodeError:
         raise ParseError(path, None, "not valid UTF-8") from None
     except json.JSONDecodeError as exc:
@@ -301,22 +345,13 @@ def read_processed_file(path) -> list[ProcessedTweet]:
                          f"{exc.msg.removesuffix(' at')} at column {exc.colno}") from None
     if not isinstance(data, list):
         raise ParseError(path, None, "not a JSON array of records")
-    records = []
-    for index, d in enumerate(data):
-        if type(d) is not dict or d.keys() != _FIELD_SET:
-            raise ParseError(path, None, f"record {index} is not an object of the fields "
-                             f"{', '.join(_FIELDS)}")
-        values = _field_values(d)
-        # (*...,) builds the tuple at its size; tuple(map(...)) would shrink
-        # a larger one, and CPython's free list would keep one spare tuple
-        # per record (about 220 KB of peak RSS on a 7k-record file).
-        if (*map(type, values),) not in _VALUE_TYPES:
-            raise ParseError(path, None, f"record {index}: {_mistyped(values)}")
-        try:
-            records.append(ProcessedTweet(*values))
-        except ValueError as exc:  # ProcessedTweet's own check, which quotes no value
-            raise ParseError(path, None, f"record {index}: {exc}") from None
-    return records
+    for index, r in enumerate(data):
+        if type(r) is not ProcessedTweet:
+            try:
+                _check(index, r)
+            except ValueError as exc:
+                raise ParseError(path, None, str(exc)) from None
+    return data
 
 
 def find_crawl_files(root) -> list[str]:

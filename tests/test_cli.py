@@ -1,5 +1,6 @@
 """Command line interface tests."""
 
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -242,24 +244,55 @@ def test_pipeline_matches_the_stage_commands_across_an_hour(tmp_path, capsys):
     assert len(processed) == 2
 
 
+def live_records() -> int:
+    return sum(type(o) is ProcessedTweet for o in gc.get_objects())
+
+
 def test_pipeline_holds_one_hour_file_of_records_at_a_time(tmp_path, capsys, monkeypatch):
     real_process_file = tweetpipe.cli.process_file
-    earlier: list[weakref.ref] = []
+    processed = 0
     alive_at_call: list[int] = []
 
     def process_file(*args, **kwargs):
-        alive_at_call.append(sum(ref() is not None for ref in earlier))
+        nonlocal processed
+        alive_at_call.append(live_records() - before)
         records, skipped = real_process_file(*args, **kwargs)
-        earlier.extend(weakref.ref(r) for r in records)
+        processed += len(records)
         return records, skipped
 
     monkeypatch.setattr(tweetpipe.cli, "process_file", process_file)
+    before = live_records()  # those other tests left
     assert main(["--data-dir", str(tmp_path), "--seed", "7",
                  "pipeline", "--duration", "3h", "--interval-ms", "600000"]) == 0
     assert "process: 3 files" in capsys.readouterr().out
-    assert len(alive_at_call) == 3 and earlier
+    assert len(alive_at_call) == 3 and processed
     # Every earlier file's records are gone when the next file is processed.
     assert alive_at_call == [0, 0, 0]
+
+
+def test_pipeline_frees_the_mock_engine_before_it_processes(tmp_path, capsys, monkeypatch):
+    real_engine, real_process_file = FirehoseEngine, tweetpipe.cli.process_file
+    engines: list[weakref.ref] = []
+    alive_at_call: list[list[bool]] = []
+
+    def engine(*args, **kwargs):
+        made = real_engine(*args, **kwargs)
+        engines.append(weakref.ref(made))
+        return made
+
+    def process_file(*args, **kwargs):
+        alive_at_call.append([ref() is not None for ref in engines])
+        return real_process_file(*args, **kwargs)
+
+    monkeypatch.setattr("tweetpipe.firehose.FirehoseEngine", engine)
+    monkeypatch.setattr(tweetpipe.cli, "process_file", process_file)
+    gc.disable()  # so that only reference counts can free the engine
+    try:
+        assert main(["--data-dir", str(tmp_path), "--seed", "7",
+                     "pipeline", "--duration", "1m"]) == 0
+    finally:
+        gc.enable()
+    assert alive_at_call[0] == [False]
 
 
 def test_analyze_cli_adds_up_several_files(tmp_path, capsys):
@@ -354,7 +387,7 @@ def write_processed(path, langs=("en", "en", "hi")):
         )
         for i, lang in enumerate(langs)
     ]
-    path.write_text(json.dumps([vars(r) for r in records]), encoding="utf-8")
+    path.write_text(json.dumps([asdict(r) for r in records]), encoding="utf-8")
 
 
 def test_analyze_cli(tmp_path, capsys):
@@ -394,8 +427,10 @@ FIELDS = "creation_date, id, lang, location, name, username, text, country, city
     (json.dumps([{**SECRET_RECORD, "id": 4242424242}]).encode(), ": record 0: id is not a string"),
     (json.dumps([{**SECRET_RECORD, "country": ["India"]}]).encode(),
      ": record 0: country is not a string or null"),
+    (json.dumps([{**SECRET_RECORD, "text": SECRET_RECORD}]).encode(),
+     ": record 0: text is not a string"),
 ], ids=["syntax", "not-an-object", "missing-field", "city-without-country", "not-an-array",
-        "not-utf8", "text-null", "id-number", "country-list"])
+        "not-utf8", "text-null", "id-number", "country-list", "text-a-record"])
 @pytest.mark.parametrize("command", ["analyze", "gateway"])
 def test_a_malformed_processed_file_is_named_in_the_error(tmp_path, capsys, command, content,
                                                           message):
@@ -491,7 +526,7 @@ def test_gateway_cli_scrubs_authors_who_tweet_later(tmp_path, capsys):
         ])
     ]
     in_file = tmp_path / "in.json"
-    in_file.write_text(json.dumps([vars(r) for r in feed]), encoding="utf-8")
+    in_file.write_text(json.dumps([asdict(r) for r in feed]), encoding="utf-8")
     registry = tmp_path / "registry.txt"
     registry.write_text("".join(f"{c}: sinks/{c}\n" for c in CATEGORIES), encoding="utf-8")
     rc = main([
@@ -519,7 +554,7 @@ def write_feed(path, first_id: int, count: int):
         )
         for n in range(first_id, first_id + count)
     ]
-    path.write_text(json.dumps([vars(r) for r in feed]), encoding="utf-8")
+    path.write_text(json.dumps([asdict(r) for r in feed]), encoding="utf-8")
     return path
 
 
@@ -563,7 +598,7 @@ def test_categories_routed_to_one_directory_share_its_sink_file(tmp_path, capsys
     texts = ("OT sushi and a flight", "OT deal on a hotel", "OT birthday party",
              "OT pizza order", "OT plain words")
     in_file = tmp_path / "in.json"
-    in_file.write_text(json.dumps([vars(ProcessedTweet(
+    in_file.write_text(json.dumps([asdict(ProcessedTweet(
         creation_date="Sat Sep 07 20:14:03 +0000 2019", id=str(n), lang="en",
         location="Delhi, India", name=f"Person {n}", username=f"user{n}",
         text=texts[n % len(texts)], country="India", city="Delhi")) for n in range(200)]),
@@ -708,13 +743,9 @@ def test_a_held_sink_file_refuses_a_second_writer(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {sink}: in use by another process\n"
     assert holder.returncode == 0
     assert sink.read_bytes() == b"held\n"
-    # Refused at its first delivery: the group's disclosures stand, each
-    # with a delivery_failed entry.
-    assert main(["--data-dir", str(data), "ledger", "verify"]) == 0
-    assert capsys.readouterr().out == "entries=6\n"
-    events = [json.loads(line)["event"] for line in (data / "ledger.jsonl").read_text(
-        encoding="utf-8").splitlines()]
-    assert events == ["disclosure"] * 3 + ["delivery_failed"] * 3
+    # Refused before anyone was enrolled: no vault bind, no ledger entry.
+    assert not (data / "vault.jsonl").exists()
+    assert not (data / "ledger.jsonl").exists()
     # The lock went with its holder.
     assert main(gateway) == 0
     assert len(sink.read_bytes().splitlines()) == 4

@@ -1,9 +1,12 @@
 """Mock search API tests: determinism, quota, pagination, duplicate mode."""
 
 import datetime as dt
+import gc
 import http.client
 import json
 import socket
+import threading
+import weakref
 from urllib.parse import urlencode, urlsplit
 
 import pytest
@@ -328,6 +331,29 @@ def test_stop_after_a_served_request_ends_the_thread_and_frees_the_port():
     assert not thread.is_alive()
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection((url.hostname, url.port), timeout=5).close()
+
+
+def test_stop_ends_a_connection_left_open_and_frees_the_engine():
+    engine = make_engine()
+    engine_ref = weakref.ref(engine)
+    server = MockFirehoseServer(engine).start()
+    del engine
+    url = urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    gc.disable()  # so that only reference counts can free the engine
+    try:
+        conn.request("GET", "/nope")
+        assert conn.getresponse().read()  # the connection stays open, idle
+        stopping = threading.Thread(target=server.stop)
+        stopping.start()
+        stopping.join(timeout=10)
+        assert not stopping.is_alive()
+        assert not any("process_request" in t.name for t in threading.enumerate())
+        del server
+        assert engine_ref() is None
+    finally:
+        gc.enable()
+        conn.close()
 
 
 # ------------------------------------------------------ page JSON vs dumps

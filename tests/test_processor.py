@@ -4,7 +4,9 @@ import io
 import json
 import logging
 import re
-from dataclasses import fields
+import sys
+import tracemalloc
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -385,6 +387,39 @@ def test_dict_round_trip_keeps_nulls(tmp_path):
     assert read_processed_file(out_path) == records
 
 
+def test_records_hold_no_dict_and_a_run_of_equal_dates_shares_one_string(tmp_path):
+    dates = ["Sat Sep 07 20:14:03 +0000 2019"] * 2 + ["Sat Sep 07 20:14:05 +0000 2019"] * 2
+    lines = [encode_record(make_record(id=str(i), creation_date=d)) for i, d in enumerate(dates)]
+    records, _ = process_file(write_crawl_file(tmp_path, lines), WORLD, out_root=str(tmp_path))
+    loaded = read_processed_file(tmp_path / "09-08-2019-tweets-06 AM.json")
+    for got in (records, loaded):
+        assert not any(hasattr(r, "__dict__") for r in got)
+        assert [r.creation_date for r in got] == dates
+        assert got[0].creation_date is got[1].creation_date
+        assert got[2].creation_date is got[3].creation_date
+
+
+def test_reading_a_processed_file_holds_its_text_and_its_records_only(tmp_path):
+    path = tmp_path / "feed.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_processed((ProcessedTweet(
+            creation_date=f"Sat Sep 07 20:{n // 600:02d}:{n // 10 % 60:02d} +0000 2019",
+            id=str(10**18 + n), lang="en", location="Delhi, India", name=f"Person {n}",
+            username=f"user{n}", text=f"OT tweet number {n} about lunch and a flight",
+            country="India", city="Delhi") for n in range(4000)), fh)
+    text_size = sys.getsizeof(path.read_text(encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = read_processed_file(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    # A list of parsed dicts beside the records would add about 480 KB.
+    assert peak - before <= text_size + (held - before) + 64 * 1024
+
+
 # Quotes, backslashes, control characters, U+2028/U+2029, the field
 # delimiter and a non-BMP character, besides any text at all.
 FIELD_TEXT = st.one_of(
@@ -406,7 +441,7 @@ def processed_tweets(draw):
 def test_write_processed_matches_json_dump(records):
     out = io.StringIO()
     write_processed(records, out)
-    expected = json.dumps([vars(r) for r in records], ensure_ascii=False, indent=2) + "\n"
+    expected = json.dumps([asdict(r) for r in records], ensure_ascii=False, indent=2) + "\n"
     assert out.getvalue() == expected
 
 

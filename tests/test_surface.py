@@ -36,6 +36,8 @@ ALLOWED = {
     "mockserver._Handler.log_message": "http.server hook, overridden to keep the mock quiet",
     "mockserver._Handler.protocol_version": "http.server reads it to keep connections alive",
     "mockserver._Handler.disable_nagle_algorithm": "http.server reads it on each connection",
+    "mockserver._EngineServer.daemon_threads": "socketserver reads it, and server_close joins "
+                                               "the connection threads it did not daemonize",
     "crawler.CrawlStats.rate_limit_waits": "crawl prints every field, through vars(stats)",
 }
 
